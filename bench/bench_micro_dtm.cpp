@@ -7,6 +7,9 @@
 //     buffer, forward/backward, losses, Chamfer, Adam — across the
 //     {portable, avx2, avx512-when-available} kernel backends x {serial,
 //     4-thread} split;
+//   * dtm_update_aged_*: the same Update on a model aged past the Adam
+//     subnormal onset (portable and avx2, serial), with an aged/fresh
+//     summary record;
 //   * dtm_predict_pool_*: candidate-pool PredictBatch;
 //   * dtm_add_sample: replay-buffer append;
 //   * propose_*: one full DeepTuneSearcher::Propose over the Linux space —
@@ -137,6 +140,26 @@ double BenchPredictPool(size_t dim, size_t pool, KernelBackend backend, size_t t
   return best;
 }
 
+// Adam steps of untimed aging before the aged Update is timed. A parameter
+// whose gradient stops decays its first moment by beta1 = 0.9 per step, which
+// would go subnormal after ~6.7k steps; 8192 is past that onset on this
+// model (the perfbench dt-serial horizon reaches ~14k).
+constexpr size_t kAgedAdamSteps = 8192;
+
+// Update timed exactly as BenchUpdate's, on one model aged past the
+// subnormal onset. One instance, not BenchUpdate's placement sweep: the
+// aging costs ~250 Updates per instance.
+double BenchUpdateAged(size_t dim, size_t samples, KernelBackend backend) {
+  DtmOptions options;
+  options.kernels = backend;
+  auto model = std::make_unique<DeepTuneModel>(dim, options);
+  SeedReplayBuffer(*model, dim, samples);
+  for (size_t step = 0; step < kAgedAdamSteps; step += options.steps_per_update) {
+    model->Update();
+  }
+  return OpsPerSec([&] { model->Update(); });
+}
+
 std::string VariantName(KernelBackend backend, size_t threads) {
   std::string name = KernelBackendName(backend);
   if (threads > 1) {
@@ -256,6 +279,21 @@ int main(int argc, char** argv) {
                   portable_threaded / portable_serial, avx2_threaded / portable_serial);
     }
     std::printf("}\n");
+  }
+
+  // The same Update on an aged model (serial): a flat per-trial cost means
+  // aged/fresh ~1. Subnormal Adam moments held it at ~0.35 before the Adam
+  // moment floor; the ~0.7 left is subnormal squares in SqDist (docs/perf.md).
+  {
+    const std::string aged_bench =
+        "dtm_update_aged_" + std::to_string(dim) + "d_" + std::to_string(samples) + "s";
+    double portable_aged = BenchUpdateAged(dim, samples, KernelBackend::kPortable);
+    Report(aged_bench, VariantName(KernelBackend::kPortable, 0), portable_aged);
+    double avx2_aged = BenchUpdateAged(dim, samples, KernelBackend::kAvx2);
+    Report(aged_bench, VariantName(KernelBackend::kAvx2, 0), avx2_aged);
+    std::printf("{\"bench\": \"dtm_update_aged_over_fresh\", \"portable\": %.2f, "
+                "\"avx2\": %.2f}\n",
+                portable_aged / portable_serial, avx2_aged / avx2_serial);
   }
 
   // Full Propose — pool assembly + batched prediction — serial vs sharded

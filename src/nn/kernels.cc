@@ -134,10 +134,18 @@ void PortableRelu(double* x, size_t n) {
 void PortableAdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
                         const AdamScalars& k) {
   for (size_t i = 0; i < n; ++i) {
-    m[i] = k.beta1 * m[i] + (1.0 - k.beta1) * grad[i];
-    v[i] = k.beta2 * v[i] + (1.0 - k.beta2) * grad[i] * grad[i];
-    double m_hat = m[i] / k.bias1;
-    double v_hat = v[i] / k.bias2;
+    double mi = k.beta1 * m[i] + (1.0 - k.beta1) * grad[i];
+    double vi = k.beta2 * v[i] + (1.0 - k.beta2) * grad[i] * grad[i];
+    if (std::fabs(mi) < kAdamMomentFloor) {
+      mi = 0.0;
+    }
+    if (vi < kAdamMomentFloor) {
+      vi = 0.0;
+    }
+    m[i] = mi;
+    v[i] = vi;
+    double m_hat = mi / k.bias1;
+    double v_hat = vi / k.bias2;
     double update = m_hat / (std::sqrt(v_hat) + k.epsilon);
     if (k.weight_decay > 0.0) {
       update += k.weight_decay * value[i];

@@ -46,6 +46,23 @@ enum class KernelBackend {
   kAvx512,    // Opt-in only; never chosen by CPUID auto-resolution.
 };
 
+// Moment floor of every backend's adam_update. Right after computing them,
+// a first moment with |m| < floor is stored as +0.0 and a second moment with
+// v < floor as 0 (NaN is kept). A parameter whose gradient stops (a dead ReLU
+// unit) decays m by beta1 = 0.9 per step, which would reach the subnormal
+// range after ~6.7k steps; every multiply, divide and store on a subnormal
+// takes the slow microcode path. 1e-250 is safe on both sides:
+//   * large enough: a kept moment keeps beta1 * m, m / bias1 and
+//     lr * update normal (DBL_MIN ~= 2.2e-308, 58 decades below);
+//   * small enough: a flushed m moved its weight by at most
+//     lr * floor / (bias1 * epsilon) <= lr * 1e-241 (bias1 >= 1 - beta1 = 0.1,
+//     epsilon = 1e-8), and
+//     a flushed v moved the denominator sqrt(v / bias2) + epsilon by at most
+//     sqrt(floor / (1 - beta2)) ~= 3e-124; both are far below half an ulp of
+//     any weight or of epsilon, so flushing never changes a weight.
+// Moments are never serialized, so committed state is unchanged as well.
+constexpr double kAdamMomentFloor = 1e-250;
+
 // Scalar constants of one Adam step, precomputed once per Step() call so the
 // per-block kernel is pure elementwise math.
 struct AdamScalars {
@@ -91,8 +108,9 @@ struct KernelOps {
   void (*scal)(double a, double* x, size_t n);
   // x[j] = max(0, x[j]).
   void (*relu)(double* x, size_t n);
-  // One Adam update over a parameter block; zeroes the gradient. Elementwise
-  // and independent per index, so any vector width is bit-identical.
+  // One Adam update over a parameter block; zeroes the gradient and flushes
+  // moments below kAdamMomentFloor. Elementwise and independent per index,
+  // so any vector width is bit-identical.
   void (*adam_update)(double* value, double* grad, double* m, double* v, size_t n,
                       const AdamScalars& k);
 };

@@ -13,7 +13,6 @@
 
 #if defined(WF_KERNELS_AVX2) && defined(__AVX2__)
 
-#include <cmath>
 #include <immintrin.h>
 
 namespace wayfinder {
@@ -238,6 +237,8 @@ void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
   const __m256d lr = _mm256_set1_pd(k.learning_rate);
   const __m256d wd = _mm256_set1_pd(k.weight_decay);
   const __m256d zero = _mm256_setzero_pd();
+  const __m256d moment_floor = _mm256_set1_pd(kAdamMomentFloor);
+  const __m256d sign_bit = _mm256_set1_pd(-0.0);
   const bool use_wd = k.weight_decay > 0.0;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -247,6 +248,12 @@ void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
     // (1 - beta2) * g * g is left-associative in the portable kernel.
     __m256d g2 = _mm256_mul_pd(_mm256_mul_pd(one_minus_beta2, g), g);
     __m256d vv = _mm256_add_pd(_mm256_mul_pd(beta2, _mm256_loadu_pd(v + i)), g2);
+    // Keep m where !(|m| < floor), NaN included, else +0.0: the portable
+    // predicate. NLT_UQ is true on unordered lanes, and AND with an all-zero
+    // mask yields +0.0 (so -0.0 flushes to +0.0 as well).
+    __m256d abs_m = _mm256_andnot_pd(sign_bit, vm);
+    vm = _mm256_and_pd(vm, _mm256_cmp_pd(abs_m, moment_floor, _CMP_NLT_UQ));
+    vv = _mm256_and_pd(vv, _mm256_cmp_pd(vv, moment_floor, _CMP_NLT_UQ));
     _mm256_storeu_pd(m + i, vm);
     _mm256_storeu_pd(v + i, vv);
     __m256d m_hat = _mm256_div_pd(vm, bias1);
@@ -259,17 +266,11 @@ void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
     _mm256_storeu_pd(value + i, _mm256_sub_pd(val, _mm256_mul_pd(lr, update)));
     _mm256_storeu_pd(grad + i, zero);
   }
-  for (; i < n; ++i) {
-    m[i] = k.beta1 * m[i] + (1.0 - k.beta1) * grad[i];
-    v[i] = k.beta2 * v[i] + (1.0 - k.beta2) * grad[i] * grad[i];
-    double m_hat = m[i] / k.bias1;
-    double v_hat = v[i] / k.bias2;
-    double update = m_hat / (std::sqrt(v_hat) + k.epsilon);
-    if (use_wd) {
-      update += k.weight_decay * value[i];
-    }
-    value[i] -= k.learning_rate * update;
-    grad[i] = 0.0;
+  // The remainder (fewer than 4 elements) runs the portable kernel itself:
+  // same expression tree, same flush predicate, written once.
+  if (i < n) {
+    KernelsFor(KernelBackend::kPortable)
+        .adam_update(value + i, grad + i, m + i, v + i, n - i, k);
   }
 }
 

@@ -23,7 +23,6 @@
 
 #if defined(WF_KERNELS_AVX512) && defined(__AVX512F__) && defined(__AVX2__)
 
-#include <cmath>
 #include <immintrin.h>
 
 namespace wayfinder {
@@ -244,6 +243,7 @@ void Avx512AdamUpdate(double* value, double* grad, double* m, double* v, size_t 
   const __m512d lr = _mm512_set1_pd(k.learning_rate);
   const __m512d wd = _mm512_set1_pd(k.weight_decay);
   const __m512d zero = _mm512_setzero_pd();
+  const __m512d moment_floor = _mm512_set1_pd(kAdamMomentFloor);
   const bool use_wd = k.weight_decay > 0.0;
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -253,6 +253,11 @@ void Avx512AdamUpdate(double* value, double* grad, double* m, double* v, size_t 
     // (1 - beta2) * g * g is left-associative in the portable kernel.
     __m512d g2 = _mm512_mul_pd(_mm512_mul_pd(one_minus_beta2, g), g);
     __m512d vv = _mm512_add_pd(_mm512_mul_pd(beta2, _mm512_loadu_pd(v + i)), g2);
+    // Keep m where !(|m| < floor), NaN included, else +0.0: the portable
+    // predicate (NLT_UQ is true on unordered lanes; maskz writes +0.0).
+    __mmask8 keep_m = _mm512_cmp_pd_mask(_mm512_abs_pd(vm), moment_floor, _CMP_NLT_UQ);
+    vm = _mm512_maskz_mov_pd(keep_m, vm);
+    vv = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(vv, moment_floor, _CMP_NLT_UQ), vv);
     _mm512_storeu_pd(m + i, vm);
     _mm512_storeu_pd(v + i, vv);
     __m512d m_hat = _mm512_div_pd(vm, bias1);
@@ -265,17 +270,11 @@ void Avx512AdamUpdate(double* value, double* grad, double* m, double* v, size_t 
     _mm512_storeu_pd(value + i, _mm512_sub_pd(val, _mm512_mul_pd(lr, update)));
     _mm512_storeu_pd(grad + i, zero);
   }
-  for (; i < n; ++i) {
-    m[i] = k.beta1 * m[i] + (1.0 - k.beta1) * grad[i];
-    v[i] = k.beta2 * v[i] + (1.0 - k.beta2) * grad[i] * grad[i];
-    double m_hat = m[i] / k.bias1;
-    double v_hat = v[i] / k.bias2;
-    double update = m_hat / (std::sqrt(v_hat) + k.epsilon);
-    if (use_wd) {
-      update += k.weight_decay * value[i];
-    }
-    value[i] -= k.learning_rate * update;
-    grad[i] = 0.0;
+  // The remainder (fewer than 8 elements) runs the portable kernel itself:
+  // same expression tree, same flush predicate, written once.
+  if (i < n) {
+    KernelsFor(KernelBackend::kPortable)
+        .adam_update(value + i, grad + i, m + i, v + i, n - i, k);
   }
 }
 

@@ -264,6 +264,14 @@ void WfdServer::HandleRequest(uint64_t conn, ProtoConn* state,
     response.state = "draining";
   }
 
+  if (response.has_payload && payload.size() > kMaxFrameBytes) {
+    // A payload frame this large can never be sent: announcing it would
+    // leave the client waiting forever for a frame that does not come.
+    response = ServiceResponse();
+    response.error = request.command + " payload of " + std::to_string(payload.size()) +
+                     " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
+                     "-byte frame limit";
+  }
   if (!SendResponse(conn, *state, response)) {
     return;  // Peer vanished; per-session state is unaffected.
   }

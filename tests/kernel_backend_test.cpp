@@ -14,12 +14,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/configspace/linux_space.h"
 #include "src/core/deeptune.h"
 #include "src/core/dtm.h"
+#include "src/core/dtm_trunk.h"
 #include "src/nn/kernels.h"
 #include "src/nn/layers.h"
 #include "src/nn/matrix.h"
@@ -158,6 +160,88 @@ TEST_P(KernelBackendPrimitives, MatchPortableBitwise) {
     EXPECT_EQ(vv, vv2) << "adam v n=" << n;
     for (double x : g2) {
       EXPECT_EQ(x, 0.0);  // Gradients zeroed by the update.
+    }
+  }
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// The moment floor (kAdamMomentFloor) at its edges: moments that land just
+// above and just below it, subnormal and signed-zero moments, NaN moments
+// and gradients, each with zero and non-zero gradients, spread over every
+// vector lane and the scalar remainder.
+TEST_P(KernelBackendPrimitives, AdamFlushesAgedMoments) {
+  const KernelOps& portable = KernelsFor(KernelBackend::kPortable);
+  const KernelOps& simd = KernelsFor(GetParam());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double moment_floor = kAdamMomentFloor;
+  AdamScalars scalars;
+  scalars.bias1 = 0.19;
+  scalars.bias2 = 0.002;
+  scalars.weight_decay = 1e-5;
+  // With a zero gradient the new moments are beta * old, so dividing by
+  // beta puts them on either side of the floor.
+  const double m_above = moment_floor * (1.0 + 1e-9) / scalars.beta1;
+  const double m_below = moment_floor * (1.0 - 1e-9) / scalars.beta1;
+  const double v_above = moment_floor * (1.0 + 1e-9) / scalars.beta2;
+  const double v_below = moment_floor * (1.0 - 1e-9) / scalars.beta2;
+  const std::vector<double> m_cases = {m_above, -m_above, m_below, -m_below, 1e-310,
+                                       -1e-310, 0.0,     -0.0,     nan,      0.25};
+  const std::vector<double> v_cases = {v_above, v_below, 1e-310, 0.0, -0.0, nan, 0.5};
+  const std::vector<double> g_cases = {0.0, -0.0, 0.3, 1e-300, nan};
+  std::vector<double> m0, v0, g0;
+  for (double m : m_cases) {
+    for (double v : v_cases) {
+      for (double g : g_cases) {
+        m0.push_back(m);
+        v0.push_back(v);
+        g0.push_back(g);
+      }
+    }
+  }
+  Rng rng(79);
+  const std::vector<double> w0 = RandomArray(rng, m0.size());
+  // Full length, then lengths that end in each remainder width.
+  for (size_t n : {m0.size(), m0.size() - 1, m0.size() - 3, m0.size() - 7}) {
+    std::vector<double> w1 = w0, g1 = g0, m1 = m0, v1 = v0;
+    std::vector<double> w2 = w0, g2 = g0, m2 = m0, v2 = v0;
+    portable.adam_update(w1.data(), g1.data(), m1.data(), v1.data(), n, scalars);
+    simd.adam_update(w2.data(), g2.data(), m2.data(), v2.data(), n, scalars);
+    for (size_t i = 0; i < m0.size(); ++i) {
+      // Bitwise, so NaN payloads and signed zeros must agree too.
+      ASSERT_EQ(Bits(w1[i]), Bits(w2[i])) << "value n=" << n << " i=" << i;
+      ASSERT_EQ(Bits(g1[i]), Bits(g2[i])) << "grad n=" << n << " i=" << i;
+      ASSERT_EQ(Bits(m1[i]), Bits(m2[i])) << "m n=" << n << " i=" << i;
+      ASSERT_EQ(Bits(v1[i]), Bits(v2[i])) << "v n=" << n << " i=" << i;
+      if (i >= n) {
+        continue;  // Past the block: untouched.
+      }
+      EXPECT_NE(std::fpclassify(m2[i]), FP_SUBNORMAL) << "m n=" << n << " i=" << i;
+      EXPECT_NE(std::fpclassify(v2[i]), FP_SUBNORMAL) << "v n=" << n << " i=" << i;
+      // NaN in a moment or gradient stays NaN in that moment and the weight.
+      if (std::isnan(m0[i]) || std::isnan(g0[i])) {
+        EXPECT_TRUE(std::isnan(m2[i]) && std::isnan(w2[i])) << i;
+      }
+      if (std::isnan(v0[i]) || std::isnan(g0[i])) {
+        EXPECT_TRUE(std::isnan(v2[i]) && std::isnan(w2[i])) << i;
+      }
+      if (g0[i] == 0.0) {
+        // Zero gradient: the floor alone decides. Flushed moments are +0.0.
+        if (std::fabs(m0[i]) == m_above) {
+          EXPECT_EQ(m2[i], scalars.beta1 * m0[i]) << i;
+        } else if (!std::isnan(m0[i]) && std::fabs(m0[i]) < 1e-200) {
+          EXPECT_EQ(Bits(m2[i]), Bits(0.0)) << i;
+        }
+        if (v0[i] == v_above) {
+          EXPECT_EQ(v2[i], scalars.beta2 * v0[i]) << i;
+        } else if (!std::isnan(v0[i]) && v0[i] < 1e-200) {
+          EXPECT_EQ(Bits(v2[i]), Bits(0.0)) << i;
+        }
+      }
     }
   }
 }
@@ -308,6 +392,66 @@ TEST(KernelBackend, DtmTrainingBitIdenticalWhenThreaded) {
   DeepTuneModel serial(27, serial_options);
   DeepTuneModel threaded(27, threaded_options);
   TrainAndCompareModels(serial, threaded);
+}
+
+// FNV-1a over the bit patterns of every trainable weight, in Params() order.
+uint64_t WeightFnv(DtmTrunk& trunk) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (ParamBlock* block : trunk.Params()) {
+    for (double w : block->value.data()) {
+      const uint64_t bits = Bits(w);
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xffu;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+// A small trunk trained for 280 updates x 32 steps = 8960 Adam steps, with
+// three input columns that are always zero. First moments whose gradient
+// stops (dead ReLU units) decay by beta1 = 0.9 per step and cross DBL_MIN
+// near step 7k, so the last ~2k steps run in the regime where Adam's
+// moments would be subnormal without the kernels' moment floor.
+uint64_t AgedTrunkWeightFnv(KernelBackend backend, size_t threads) {
+  DtmOptions options;
+  options.hidden1 = 16;
+  options.hidden2 = 8;
+  options.rbf_centroids = 4;
+  options.batch_size = 8;
+  options.kernels = backend;
+  options.threads = threads;
+  const size_t dim = 16;
+  DtmTrunk trunk(dim, 1, options);
+  Rng rng(7);
+  for (int i = 0; i < 48; ++i) {
+    std::vector<double> x(dim, 0.0);
+    for (size_t j = 3; j < dim; ++j) {
+      x[j] = rng.Uniform();
+    }
+    bool crashed = rng.Bernoulli(0.3);
+    double objective = rng.Normal(100.0, 10.0);
+    trunk.AddSample(x, crashed, &objective);
+  }
+  for (int update = 0; update < 280; ++update) {
+    trunk.Update();
+  }
+  return WeightFnv(trunk);
+}
+
+// Long-horizon weight pin past the subnormal onset: the hash was captured
+// before the Adam kernels gained their moment floor, so it proves the
+// flush never changes a weight, on any backend and at any thread count.
+TEST(KernelBackend, AgedTrunkWeightsPinnedPastSubnormalOnset) {
+  constexpr uint64_t kPinnedWeightFnv = 0xcbd1f2aeea0cb34eULL;
+  for (KernelBackend backend :
+       {KernelBackend::kPortable, KernelBackend::kAvx2, KernelBackend::kAvx512}) {
+    for (size_t threads : {size_t{0}, size_t{4}}) {
+      EXPECT_EQ(AgedTrunkWeightFnv(backend, threads), kPinnedWeightFnv)
+          << KernelsFor(backend).name << " threads=" << threads;
+    }
+  }
 }
 
 // The end-to-end invariant (acceptance criterion): a fixed-seed 60-iteration

@@ -683,6 +683,58 @@ TEST(WfdEndToEnd, WatchStreamsPushesUntilDone) {
   serve.join();
 }
 
+// A result too large for one frame is refused with an error naming its size
+// and the limit, instead of being announced with has_payload and never sent
+// (which left a client blocked forever). The connection stays in sync.
+TEST(WfdEndToEnd, OversizedResultIsRefusedNotAnnounced) {
+  std::string socket_path = TempPath("wf_service_oversized.sock");
+  WfdOptions options;
+  options.socket_path = socket_path;
+  options.poll_ms = 10;
+  WfdServer server(options);  // No store, no journal.
+  ASSERT_TRUE(server.Start()) << server.error();
+  std::thread serve([&] { server.Serve(); });
+
+  // ~1.1 KB of checkpoint text per Linux-space trial: 4500 trials overflow
+  // the 4 MiB frame.
+  ServiceCallResult submitted =
+      SubmitJob(socket_path, JobYaml("oversized", "nginx", "random", 4500, 51));
+  ASSERT_TRUE(submitted.ok) << submitted.error;
+  const std::string id = submitted.response.id;
+  ASSERT_TRUE(server.manager().WaitDone(id, 120000));
+
+  for (bool binary : {false, true}) {
+    ServiceConnection conn;
+    std::string error;
+    ASSERT_TRUE(conn.Connect(socket_path, binary, &error)) << error;
+    SetRecvTimeout(conn.fd(), 10000);
+    ServiceRequest result;
+    result.command = "result";
+    result.id = id;
+    ServiceCallResult fetched = conn.Call(result);
+    EXPECT_FALSE(fetched.ok) << "binary=" << binary;
+    EXPECT_FALSE(fetched.transport_error) << fetched.error;
+    EXPECT_TRUE(fetched.payload.empty());
+    EXPECT_EQ(fetched.error.rfind("result payload of ", 0), 0u) << fetched.error;
+    EXPECT_NE(fetched.error.find("exceeds the " + std::to_string(kMaxFrameBytes) +
+                                 "-byte frame limit"),
+              std::string::npos)
+        << fetched.error;
+
+    ServiceRequest status;
+    status.command = "status";
+    status.id = id;
+    ServiceCallResult after = conn.Call(status);
+    ASSERT_TRUE(after.ok) << after.error;
+    ASSERT_EQ(after.response.sessions.size(), 1u);
+    EXPECT_EQ(after.response.sessions[0].trials, 4500u);
+  }
+
+  ServiceCallResult stop = StopDaemon(socket_path);
+  EXPECT_TRUE(stop.ok) << stop.error;
+  serve.join();
+}
+
 TEST(WfdEndToEnd, BinaryAndYamlCodecsAgreeOnLiveSessions) {
   std::string socket_path = TempPath("wf_service_codec.sock");
   WfdOptions options;
