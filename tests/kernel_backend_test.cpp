@@ -1,6 +1,7 @@
 // Tests for the runtime-dispatched SIMD kernel backend (src/nn/kernels.h):
 // primitive-level and matrix-level equivalence between the portable and AVX2
-// backends, bit-identical threaded Adam, and the end-to-end invariant the
+// backends, the Adam moment floor's edge cases, bit-identical threaded Adam,
+// a weight pin past the subnormal onset, and the end-to-end invariant the
 // design buys — a fixed-seed DeepTune search trajectory is unchanged by the
 // backend choice.
 //
