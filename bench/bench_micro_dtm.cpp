@@ -14,8 +14,9 @@
 //   * dtm_add_sample: replay-buffer append;
 //   * propose_*: one full DeepTuneSearcher::Propose over the Linux space —
 //     sharded pool assembly (line search + mutation + random + encode) plus
-//     the batched DTM ranking pass — across {serial, 4-thread} pool
-//     generation.
+//     the batched DTM ranking pass and scoring — across {serial, 4-thread}
+//     pool generation with a 48-row history, and serially per backend
+//     {portable, avx2} against a full 128-row scoring window (_hist128).
 //
 // The kernel backends are bit-identical by construction (src/nn/kernels.h),
 // so every variant of a bench computes the same numbers — only the speed
@@ -169,8 +170,12 @@ std::string VariantName(KernelBackend backend, size_t threads) {
 }
 
 // Full Propose — sharded pool assembly + batched prediction + scoring — on
-// a warm searcher over the Linux space with a realistic history window.
-double BenchPropose(size_t pool, size_t threads) {
+// a warm searcher over the Linux space that has observed `history_rows`
+// trials. propose_pool128 keeps its 48 rows (a partly filled scoring
+// window); propose_pool128_hist128 fills DeepTuneSearcher::kHistoryWindow,
+// the window every Propose past trial 128 of a real job scores against.
+double BenchPropose(size_t pool, size_t threads, size_t history_rows,
+                    KernelBackend backend = KernelBackend::kAuto) {
   ConfigSpace space = BuildLinuxSearchSpace();
   DeepTuneOptions options;
   options.pool_size = pool;
@@ -178,6 +183,7 @@ double BenchPropose(size_t pool, size_t threads) {
   options.update_every = 4;
   options.model.steps_per_update = 4;  // Keep searcher warm-up cheap.
   options.model.threads = threads;
+  options.model.kernels = backend;
   DeepTuneSearcher searcher(&space, options);
 
   Rng rng(11);
@@ -189,8 +195,8 @@ double BenchPropose(size_t pool, size_t threads) {
   context.sample_options = SampleOptions::FavorRuntime();
 
   // Push the searcher past warm-up and give it elites + history to rank
-  // against (the paper-scale window the proposal loop actually sees).
-  for (size_t i = 0; i < 48; ++i) {
+  // against.
+  for (size_t i = 0; i < history_rows; ++i) {
     TrialRecord trial;
     trial.config = space.RandomConfiguration(rng, context.sample_options);
     trial.outcome.status =
@@ -283,7 +289,9 @@ int main(int argc, char** argv) {
 
   // The same Update on an aged model (serial): a flat per-trial cost means
   // aged/fresh ~1. Subnormal Adam moments held it at ~0.35 before the Adam
-  // moment floor; the ~0.7 left is subnormal squares in SqDist (docs/perf.md).
+  // moment floor. With the floor and the row-blocked kernels it reads ~0.9
+  // (avx2) and ~0.85 (portable) in full windows; the rest is subnormal
+  // squares in the Chamfer distances (docs/perf.md).
   {
     const std::string aged_bench =
         "dtm_update_aged_" + std::to_string(dim) + "d_" + std::to_string(samples) + "s";
@@ -300,16 +308,21 @@ int main(int argc, char** argv) {
   // pool generation. The `propose_*` family gates in bench_compare.py like
   // the other micro anchors.
   {
-    double serial_ops = BenchPropose(128, 0);
+    double serial_ops = BenchPropose(128, 0, 48);
     Report("propose_pool128", "serial", serial_ops);
     double threaded_ops = 0.0;
     if (threads > 1) {
-      threaded_ops = BenchPropose(128, threads);
+      threaded_ops = BenchPropose(128, threads, 48);
       Report("propose_pool128", "t" + std::to_string(threads), threaded_ops);
     }
     if (serial_ops > 0.0 && threaded_ops > 0.0) {
       std::printf("{\"bench\": \"propose_speedup\", \"threads_over_serial\": %.2f}\n",
                   threaded_ops / serial_ops);
+    }
+    // The same serial Propose against a full scoring window, per backend.
+    for (KernelBackend backend : {KernelBackend::kPortable, KernelBackend::kAvx2}) {
+      Report("propose_pool128_hist128", VariantName(backend, 0),
+             BenchPropose(128, 0, DeepTuneSearcher::kHistoryWindow, backend));
     }
   }
 

@@ -361,9 +361,9 @@ std::vector<double> ConfigSpace::Encode(const Configuration& config) const {
   return features;
 }
 
-void ConfigSpace::EncodeInto(const Configuration& config, double* out) const {
+void ConfigSpace::EncodeInto(const Configuration& config, double* out, size_t stride) const {
   for (size_t i = 0; i < params_.size(); ++i) {
-    out[i] = EncodeParam(i, config.Raw(i));
+    out[i * stride] = EncodeParam(i, config.Raw(i));
   }
 }
 

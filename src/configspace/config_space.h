@@ -152,10 +152,11 @@ class ConfigSpace {
   // (log-scaled, if flagged) position within [min, max].
   size_t FeatureDimension() const { return params_.size(); }
   std::vector<double> Encode(const Configuration& config) const;
-  // Writes the feature vector into `out` (FeatureDimension() doubles) —
-  // the allocation-free form the batched proposal path uses to fill one
-  // row of the candidate matrix per configuration.
-  void EncodeInto(const Configuration& config, double* out) const;
+  // Writes the feature vector into `out` (FeatureDimension() doubles, the
+  // i-th at out[i * stride]) — the allocation-free form the batched proposal
+  // path uses to fill one row of the candidate matrix per configuration, and
+  // (strided) one lane of the scoring history's k-major panels.
+  void EncodeInto(const Configuration& config, double* out, size_t stride = 1) const;
   // Memoized Encode through a small direct-mapped cache keyed by the
   // configuration hash (values compared exactly before a hit is served).
   // Pays off for configurations encoded over and over — elites mutated

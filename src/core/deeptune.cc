@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "src/nn/kernels.h"
 #include "src/platform/searcher_registry.h"
 
 namespace wayfinder {
@@ -57,10 +58,11 @@ std::vector<double> DeepTuneSearcher::ScorePool(SearchContext& context) {
   if (context.history != nullptr) {
     proposal_.history.Sync(*space_, *context.history, kHistoryWindow);
   }
+  const KernelOps& ops = KernelsFor(options_.model.kernels);
   std::vector<double> scores(proposal_.pool.size());
   for (size_t i = 0; i < proposal_.pool.size(); ++i) {
-    double ds = Dissimilarity(proposal_.encoded.Row(i), dim, proposal_.history.rows(),
-                              proposal_.history.row_count());
+    double ds = Dissimilarity(proposal_.encoded.Row(i), dim, proposal_.history.panels(),
+                              proposal_.history.row_count(), ops);
     scores[i] = RankScore(predictions[i], ds, sigma_norm[i], scoring_);
   }
   return scores;

@@ -42,6 +42,10 @@ struct DeepTuneOptions {
 
 class DeepTuneSearcher : public Searcher {
  public:
+  // Most recent evaluations the dissimilarity term scores candidates
+  // against (the EncodedHistoryRing's window).
+  static constexpr size_t kHistoryWindow = 128;
+
   explicit DeepTuneSearcher(const ConfigSpace* space, const DeepTuneOptions& options = {});
 
   std::string Name() const override { return "deeptune"; }
@@ -102,7 +106,6 @@ class DeepTuneSearcher : public Searcher {
   // scratch): candidate streams are counter-derived, never the shared
   // session RNG per candidate, so the pool is bit-identical at any thread
   // count. Shared shape with MultiMetricSearcher via ProposalState.
-  static constexpr size_t kHistoryWindow = 128;
   ProposalState proposal_;
 };
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "src/nn/kernels.h"
 #include "src/platform/searcher_registry.h"
 
 namespace wayfinder {
@@ -124,10 +125,11 @@ std::vector<double> MultiMetricSearcher::ScorePool(SearchContext& context) {
     total_weight += metric.weight;
   }
 
+  const KernelOps& ops = KernelsFor(options_.model.kernels);
   std::vector<double> scores(proposal_.pool.size());
   for (size_t i = 0; i < proposal_.pool.size(); ++i) {
-    double ds = Dissimilarity(proposal_.encoded.Row(i), dim, proposal_.history.rows(),
-                              known_rows);
+    double ds = Dissimilarity(proposal_.encoded.Row(i), dim, proposal_.history.panels(),
+                              known_rows, ops);
     // Eq. 3 per metric, then the weighted average (§3.2).
     double score = 0.0;
     for (size_t k = 0; k < metrics_.size(); ++k) {

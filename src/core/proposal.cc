@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "src/nn/kernels.h"
 #include "src/obs/metrics.h"
 #include "src/util/thread_pool.h"
 
@@ -121,10 +122,13 @@ void EncodedHistoryRing::Sync(const ConfigSpace& space,
     next_ = 0;
     synced_ = 0;
   }
-  if (encoded_.rows() != window || encoded_.cols() != dim) {
+  if (window_ != window || dim_ != dim) {
     // A ring of a different shape holds nothing usable: drop it rather than
-    // let stale cursors count garbage rows as history.
-    encoded_.Reshape(window, dim);
+    // let stale cursors count garbage rows as history. Whole panels: the
+    // last one's unfilled lanes exist but never reach a distance.
+    window_ = window;
+    dim_ = dim;
+    panels_.assign((window + kPanelLanes - 1) / kPanelLanes * kPanelLanes * dim, 0.0);
     rows_ = 0;
     next_ = 0;
     synced_ = 0;
@@ -135,7 +139,8 @@ void EncodedHistoryRing::Sync(const ConfigSpace& space,
     begin = history.size() - window;
   }
   for (size_t i = begin; i < history.size(); ++i) {
-    space.EncodeInto(history[i].config, encoded_.Row(next_));
+    space.EncodeInto(history[i].config, panels_.data() + PanelIndex(next_, 0, dim),
+                     kPanelLanes);
     next_ = (next_ + 1) % window;
     rows_ = std::min(rows_ + 1, window);
   }

@@ -81,8 +81,11 @@ void SelectTopCandidates(const std::vector<double>& scores,
 // each trial is encoded exactly once, ever, instead of window-many
 // re-encodes per iteration — and shared by both DTM-backed searchers.
 // Detects a replaced history (searcher reused across sessions, resume into
-// a different prior) and rebuilds from scratch. Dissimilarity takes a min
-// over rows, so ring order never affects scores.
+// a different prior) and rebuilds from scratch. The window is stored once,
+// in KernelOps::panel_nearest's k-major panel layout (ring slot r is panel
+// row r, see PanelIndex), and the live rows are always the prefix
+// [0, row_count()). Dissimilarity takes a min over rows, so ring order never
+// affects scores.
 class EncodedHistoryRing {
  public:
   // Brings the ring up to date with `history`, encoding only the trials
@@ -90,12 +93,14 @@ class EncodedHistoryRing {
   void Sync(const ConfigSpace& space, const std::vector<TrialRecord>& history,
             size_t window);
 
-  const Matrix& rows() const { return encoded_; }
+  const double* panels() const { return panels_.data(); }
   size_t row_count() const { return rows_; }
-  size_t bytes() const { return encoded_.size() * sizeof(double); }
+  size_t bytes() const { return panels_.size() * sizeof(double); }
 
  private:
-  Matrix encoded_;
+  std::vector<double> panels_;
+  size_t window_ = 0;
+  size_t dim_ = 0;
   size_t rows_ = 0;    // Valid rows (<= window).
   size_t next_ = 0;    // Ring write cursor.
   size_t synced_ = 0;  // History entries consumed so far.

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "src/nn/kernels.h"
+
 namespace wayfinder {
 
 namespace {
@@ -35,15 +37,12 @@ double Dissimilarity(const std::vector<double>& x,
   return DissimilarityFromNearest(nearest, x.size());
 }
 
-double Dissimilarity(const double* x, size_t dim, const Matrix& known, size_t known_rows) {
+double Dissimilarity(const double* x, size_t dim, const double* known_panels,
+                     size_t known_rows, const KernelOps& ops) {
   if (known_rows == 0) {
     return 1.0;
   }
-  double nearest = std::numeric_limits<double>::max();
-  for (size_t r = 0; r < known_rows; ++r) {
-    nearest = std::min(nearest, SqDist(x, known.Row(r), dim));
-  }
-  return DissimilarityFromNearest(nearest, dim);
+  return DissimilarityFromNearest(ops.panel_nearest(x, known_panels, dim, known_rows), dim);
 }
 
 std::vector<double> NormalizeSigmas(const std::vector<DtmPrediction>& predictions) {

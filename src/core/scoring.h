@@ -21,9 +21,12 @@ double Dissimilarity(const std::vector<double>& x,
                      const std::vector<std::vector<double>>& known);
 
 // Same score over the batched layout: `x` is one row of the candidate
-// matrix (`dim` wide) and `known` the first `known_rows` rows of an
-// encoded-history matrix. Avoids any per-candidate staging.
-double Dissimilarity(const double* x, size_t dim, const Matrix& known, size_t known_rows);
+// matrix (`dim` wide) and the known samples are the first `known_rows` rows
+// of k-major history panels (EncodedHistoryRing::panels()). The nearest
+// distance comes from `ops.panel_nearest`, which is bitwise the min of
+// SqDist over those rows on every backend.
+double Dissimilarity(const double* x, size_t dim, const double* known_panels,
+                     size_t known_rows, const KernelOps& ops);
 
 struct ScoreOptions {
   double alpha = 0.5;           // Eq. 3 exploration blend.

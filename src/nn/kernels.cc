@@ -1,9 +1,12 @@
 #include "src/nn/kernels.h"
+#include "src/nn/kernels_internal.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace wayfinder {
 namespace {
@@ -46,9 +49,20 @@ void PortableGemmRow(const double* a, size_t k_dim, const double* b, size_t b_st
   }
 }
 
-void PortableAxpy(double a, const double* x, double* y, size_t n) {
-  for (size_t j = 0; j < n; ++j) {
-    y[j] += a * x[j];
+void PortableAxpyRows(const double* a, size_t a_stride, const double* x, size_t x_stride,
+                      size_t rows, double* y, size_t n) {
+  size_t nz_rows[kAxpyRowsChunk];
+  double nz_coefs[kAxpyRowsChunk];
+  for (size_t r0 = 0; r0 < rows; r0 += kAxpyRowsChunk) {
+    const size_t r1 = std::min(rows, r0 + kAxpyRowsChunk);
+    const size_t count = ListNonZeroRows(a, a_stride, r0, r1, nz_rows, nz_coefs);
+    for (size_t i = 0; i < count; ++i) {
+      const double c = nz_coefs[i];
+      const double* xrow = x + nz_rows[i] * x_stride;
+      for (size_t j = 0; j < n; ++j) {
+        y[j] += c * xrow[j];
+      }
+    }
   }
 }
 
@@ -80,6 +94,13 @@ double PortableDot(const double* a, const double* b, size_t n) {
   return sum;
 }
 
+void PortableDotRows(const double* a, const double* b, size_t b_stride, size_t n,
+                     double* out, size_t m) {
+  for (size_t j = 0; j < m; ++j) {
+    out[j] = PortableDot(a, b + j * b_stride, n);
+  }
+}
+
 double PortableSqDist(const double* a, const double* b, size_t n) {
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   size_t k = 0;
@@ -99,6 +120,30 @@ double PortableSqDist(const double* a, const double* b, size_t n) {
     sum += d * d;
   }
   return sum;
+}
+
+void PortableSqDistRows(const double* a, const double* b, size_t b_stride, size_t n,
+                        double* out, size_t m) {
+  for (size_t j = 0; j < m; ++j) {
+    out[j] = PortableSqDist(a, b + j * b_stride, n);
+  }
+}
+
+double PortablePanelNearest(const double* x, const double* panels, size_t dim, size_t rows) {
+  double nearest = std::numeric_limits<double>::max();
+  for (size_t r0 = 0; r0 < rows; r0 += kPanelLanes) {
+    const double* panel = panels + (r0 / kPanelLanes) * dim * kPanelLanes;
+    const size_t lanes = std::min(kPanelLanes, rows - r0);
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      double sum = 0.0;
+      for (size_t k = 0; k < dim; ++k) {
+        double d = x[k] - panel[k * kPanelLanes + lane];
+        sum += d * d;
+      }
+      nearest = std::min(nearest, sum);
+    }
+  }
+  return nearest;
 }
 
 double PortableSqNorm(const double* x, size_t n) {
@@ -156,9 +201,9 @@ void PortableAdamUpdate(double* value, double* grad, double* m, double* v, size_
 }
 
 constexpr KernelOps kPortableOps = {
-    "portable",     PortableGemmRow, PortableAxpy, PortableAxpyDiff,
-    PortableVadd,   PortableDot,     PortableSqDist, PortableSqNorm,
-    PortableScal,   PortableRelu,    PortableAdamUpdate,
+    "portable",         PortableGemmRow,      PortableAxpyRows, PortableAxpyDiff,
+    PortableVadd,       PortableDotRows,      PortableSqDistRows, PortablePanelNearest,
+    PortableSqNorm,     PortableScal,         PortableRelu,     PortableAdamUpdate,
 };
 
 // --- dispatch ---------------------------------------------------------------

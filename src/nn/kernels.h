@@ -1,9 +1,10 @@
 // Runtime-dispatched SIMD kernel backend.
 //
 // Every inner loop the DTM hot path runs — the streamed 4-row matmul body,
-// dot products, gradient axpys, the RBF distance/gradient loops, ReLU, and
-// the per-block Adam update — is reached through a `KernelOps` vtable of raw
-// pointer kernels. Two backends implement the table:
+// the row-blocked dot / squared-distance / gradient-accumulation kernels, the
+// RBF gradient loops, ReLU, the per-block Adam update — and the history-panel
+// nearest-distance scan of candidate scoring is reached through a `KernelOps`
+// vtable of raw pointer kernels. Three backends implement the table:
 //
 //   * portable — plain C++, compiled with the base flags, runs anywhere;
 //   * avx2     — 256-bit vector implementations, compiled in a separate
@@ -11,10 +12,10 @@
 //     rest of the build stays portable), selected only when CPUID reports
 //     AVX2 support;
 //   * avx512   — 512-bit implementations of the elementwise kernels (per-
-//     index math is width-invariant, so they stay bit-identical), with the
-//     order-sensitive reductions kept on the 256-bit 4-lane structure.
-//     Opt-in only: CPUID auto-resolution never picks it, because 512-bit
-//     execution can downclock client cores (see docs/perf.md for the
+//     index math is width-invariant, so they stay bit-identical); every
+//     order-sensitive reduction and row-blocked kernel is the AVX2 table's
+//     own entry. Opt-in only: CPUID auto-resolution never picks it, because
+//     512-bit execution can downclock client cores (see docs/perf.md for the
 //     measurement); select it explicitly via `WF_KERNELS=avx512` or
 //     `DtmOptions::kernels`.
 //
@@ -32,6 +33,12 @@
 // so the compiler cannot fuse them. Backend choice therefore changes speed,
 // never results — which is what makes "identical search trajectories across
 // backends" a testable invariant rather than a hope.
+//
+// Row blocking: the `*_rows` kernels and `panel_nearest` each replace a loop
+// of one-output kernel calls with one call that computes many outputs, while
+// every output keeps exactly the expression tree of the per-call loop it
+// replaced (docs/perf.md, "Bit-identical blocking"). Blocking changes which
+// outputs are in flight together, never how any one of them is summed.
 #ifndef WAYFINDER_SRC_NN_KERNELS_H_
 #define WAYFINDER_SRC_NN_KERNELS_H_
 
@@ -63,6 +70,16 @@ enum class KernelBackend {
 // Moments are never serialized, so committed state is unchanged as well.
 constexpr double kAdamMomentFloor = 1e-250;
 
+// Rows per panel of the k-major layout panel_nearest reads: panel p holds
+// rows [p * kPanelLanes, (p + 1) * kPanelLanes), and element k of row r sits
+// at PanelIndex(r, k, dim). One vector lane per row, so a panel kernel runs
+// kPanelLanes independent textbook sums side by side.
+constexpr size_t kPanelLanes = 4;
+
+inline size_t PanelIndex(size_t row, size_t k, size_t dim) {
+  return (row / kPanelLanes) * dim * kPanelLanes + k * kPanelLanes + row % kPanelLanes;
+}
+
 // Scalar constants of one Adam step, precomputed once per Step() call so the
 // per-block kernel is pure elementwise math.
 struct AdamScalars {
@@ -91,18 +108,40 @@ struct KernelOps {
   // block. `b` is row-major with stride `b_stride` (>= m).
   void (*gemm_row)(const double* a, size_t k_dim, const double* b, size_t b_stride,
                    const double* bias, double* out, size_t m);
-  // y[j] += a * x[j].
-  void (*axpy)(double a, const double* x, double* y, size_t n);
+  // One gradient row of dW += X^T dY, in one call:
+  //   for r = 0 .. rows-1 ascending, skipping a[r * a_stride] == 0:
+  //     y[j] += a[r * a_stride] * x[r * x_stride + j]      (j < n)
+  // — per element exactly the loop of one `y += a * x` axpy per batch row it
+  // replaces (a zero coefficient, -0.0 included, leaves y untouched, so a
+  // -0.0 accumulator stays -0.0). The non-zero rows are listed without
+  // branches and y is held in registers across the whole batch.
+  void (*axpy_rows)(const double* a, size_t a_stride, const double* x, size_t x_stride,
+                    size_t rows, double* y, size_t n);
   // out[j] += a * (x[j] - y[j]) — RBF centroid/input gradient body.
   void (*axpy_diff)(double a, const double* x, const double* y, double* out, size_t n);
   // y[j] += x[j].
   void (*vadd)(const double* x, double* y, size_t n);
-  // 4-lane strided dot product: lanes accumulate k % 4, reduced as
+  // out[j] = dot(a, b + j * b_stride) over n elements, for j < m. Each dot
+  // is the 4-lane strided product sum: lanes accumulate k % 4, reduced as
   // (l0 + l1) + (l2 + l3), remainder appended serially.
-  double (*dot)(const double* a, const double* b, size_t n);
-  // Sum of (a[j] - b[j])^2, same lane structure as dot.
-  double (*sqdist)(const double* a, const double* b, size_t n);
-  // Sum of x[j]^2, same lane structure as dot.
+  void (*dot_rows)(const double* a, const double* b, size_t b_stride, size_t n, double* out,
+                   size_t m);
+  // out[j] = sum of (a[k] - b_j[k])^2 with b_j = b + j * b_stride, same lane
+  // structure as dot_rows. a - b == -(b - a) exactly, so one table of these
+  // serves both argument orders (the Chamfer term's sqdist(c, z) and
+  // sqdist(z, c)).
+  void (*sqdist_rows)(const double* a, const double* b, size_t b_stride, size_t n,
+                      double* out, size_t m);
+  // min over rows r < `rows` of the textbook serial sum of (x[k] - h_r[k])^2
+  // (k ascending, one accumulator: SqDist in matrix.h), starting from
+  // DBL_MAX and keeping the old minimum unless a sum is strictly smaller, so
+  // NaN and +inf never win. `panels` holds the rows in the k-major panel
+  // layout of kPanelLanes rows each (see PanelIndex) and must span whole
+  // panels: SIMD backends load the last panel's unfilled lanes, but those
+  // never reach the result. A min ignores order, so the result is bitwise
+  // the min of SqDist over the rows.
+  double (*panel_nearest)(const double* x, const double* panels, size_t dim, size_t rows);
+  // Sum of x[j]^2, same lane structure as dot_rows.
   double (*sqnorm)(const double* x, size_t n);
   // x[j] *= a.
   void (*scal)(double a, double* x, size_t n);

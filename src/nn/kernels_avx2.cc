@@ -10,10 +10,14 @@
 // guarded by CPUID at runtime (kernels.cc), so a binary carrying this TU
 // runs unchanged on pre-AVX2 hardware.
 #include "src/nn/kernels.h"
+#include "src/nn/kernels_internal.h"
 
 #if defined(WF_KERNELS_AVX2) && defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <limits>
 
 namespace wayfinder {
 namespace {
@@ -22,6 +26,13 @@ inline double ReduceLanes(__m256d acc) {
   double lanes[4];
   _mm256_storeu_pd(lanes, acc);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+}
+
+// All-ones in lanes [0, valid), zero above: the filled lanes of a panel.
+inline __m256d LaneMask(size_t valid) {
+  const __m256i lane = _mm256_set_epi64x(3, 2, 1, 0);
+  return _mm256_castsi256_pd(
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(valid)), lane));
 }
 
 // One k-block-of-4 contribution to a 4-wide j tile:
@@ -122,15 +133,52 @@ void Avx2GemmRow(const double* a, size_t k_dim, const double* b, size_t b_stride
   }
 }
 
-void Avx2Axpy(double a, const double* x, double* y, size_t n) {
-  const __m256d va = _mm256_set1_pd(a);
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d t = _mm256_mul_pd(va, _mm256_loadu_pd(x + j));
-    _mm256_storeu_pd(y + j, _mm256_add_pd(_mm256_loadu_pd(y + j), t));
+// One 4*T-wide j tile of axpy_rows: the tile of y stays in T registers while
+// every listed batch row is added in ascending order. Eight tiles keep eight
+// independent add chains in flight, enough to cover the add latency.
+template <size_t T>
+inline void AxpyRowsTile(const size_t* rows, const double* coefs, size_t count,
+                         const double* x, size_t x_stride, double* y) {
+  __m256d acc[T];
+  for (size_t t = 0; t < T; ++t) {
+    acc[t] = _mm256_loadu_pd(y + 4 * t);
   }
-  for (; j < n; ++j) {
-    y[j] += a * x[j];
+  for (size_t i = 0; i < count; ++i) {
+    const __m256d va = _mm256_set1_pd(coefs[i]);
+    const double* xrow = x + rows[i] * x_stride;
+    for (size_t t = 0; t < T; ++t) {
+      acc[t] = _mm256_add_pd(acc[t], _mm256_mul_pd(va, _mm256_loadu_pd(xrow + 4 * t)));
+    }
+  }
+  for (size_t t = 0; t < T; ++t) {
+    _mm256_storeu_pd(y + 4 * t, acc[t]);
+  }
+}
+
+void Avx2AxpyRows(const double* a, size_t a_stride, const double* x, size_t x_stride,
+                  size_t rows, double* y, size_t n) {
+  size_t nz_rows[kAxpyRowsChunk];
+  double nz_coefs[kAxpyRowsChunk];
+  for (size_t r0 = 0; r0 < rows; r0 += kAxpyRowsChunk) {
+    const size_t r1 = std::min(rows, r0 + kAxpyRowsChunk);
+    const size_t count = ListNonZeroRows(a, a_stride, r0, r1, nz_rows, nz_coefs);
+    size_t j = 0;
+    for (; j + 32 <= n; j += 32) {
+      AxpyRowsTile<8>(nz_rows, nz_coefs, count, x + j, x_stride, y + j);
+    }
+    for (; j + 16 <= n; j += 16) {
+      AxpyRowsTile<4>(nz_rows, nz_coefs, count, x + j, x_stride, y + j);
+    }
+    for (; j + 4 <= n; j += 4) {
+      AxpyRowsTile<1>(nz_rows, nz_coefs, count, x + j, x_stride, y + j);
+    }
+    for (; j < n; ++j) {
+      double s = y[j];
+      for (size_t i = 0; i < count; ++i) {
+        s += nz_coefs[i] * x[nz_rows[i] * x_stride + j];
+      }
+      y[j] = s;
+    }
   }
 }
 
@@ -157,32 +205,145 @@ void Avx2Vadd(const double* x, double* y, size_t n) {
   }
 }
 
-double Avx2Dot(const double* a, const double* b, size_t n) {
+// The per-k term of the row reductions: a * b for dot_rows, (a - b)^2 for
+// sqdist_rows (the portable operand order, so NaN payloads match too).
+template <bool kSqDist>
+inline __m256d RowTerm(__m256d a, __m256d b) {
+  if (kSqDist) {
+    const __m256d d = _mm256_sub_pd(a, b);
+    return _mm256_mul_pd(d, d);
+  }
+  return _mm256_mul_pd(a, b);
+}
+
+template <bool kSqDist>
+inline double RowTerm(double a, double b) {
+  if (kSqDist) {
+    const double d = a - b;
+    return d * d;
+  }
+  return a * b;
+}
+
+// One row's 4-lane strided sum, reduced as (l0 + l1) + (l2 + l3), remainder
+// appended serially: the tree of one portable dot / sqdist call.
+template <bool kSqDist>
+double RowReduce(const double* a, const double* b, size_t n) {
   __m256d acc = _mm256_setzero_pd();
   size_t k = 0;
   for (; k + 4 <= n; k += 4) {
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(a + k), _mm256_loadu_pd(b + k)));
+    acc = _mm256_add_pd(acc, RowTerm<kSqDist>(_mm256_loadu_pd(a + k), _mm256_loadu_pd(b + k)));
   }
   double sum = ReduceLanes(acc);
   for (; k < n; ++k) {
-    sum += a[k] * b[k];
+    sum += RowTerm<kSqDist>(a[k], b[k]);
   }
   return sum;
 }
 
-double Avx2SqDist(const double* a, const double* b, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
+// Four rows' lane accumulators reduced at once: lane j of the result is
+// (r_j[0] + r_j[1]) + (r_j[2] + r_j[3]), each add in ReduceLanes' order.
+inline __m256d ReduceLanes4x4(__m256d r0, __m256d r1, __m256d r2, __m256d r3) {
+  const __m256d p01 = _mm256_add_pd(_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
+  const __m256d p23 = _mm256_add_pd(_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
+  return _mm256_add_pd(_mm256_permute2f128_pd(p01, p23, 0x20),
+                       _mm256_permute2f128_pd(p01, p23, 0x31));
+}
+
+// R rows (a multiple of 4) of b against one a: R lane accumulators share each
+// load of a, then every group of four is reduced together and its serial
+// remainder runs with one row per vector lane.
+template <bool kSqDist, size_t R>
+void RowBlock(const double* a, const double* b, size_t b_stride, size_t n, double* out) {
+  __m256d acc[R];
+  for (size_t r = 0; r < R; ++r) {
+    acc[r] = _mm256_setzero_pd();
+  }
   size_t k = 0;
   for (; k + 4 <= n; k += 4) {
-    __m256d d = _mm256_sub_pd(_mm256_loadu_pd(a + k), _mm256_loadu_pd(b + k));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+    const __m256d va = _mm256_loadu_pd(a + k);
+    for (size_t r = 0; r < R; ++r) {
+      acc[r] = _mm256_add_pd(acc[r],
+                             RowTerm<kSqDist>(va, _mm256_loadu_pd(b + r * b_stride + k)));
+    }
   }
-  double sum = ReduceLanes(acc);
-  for (; k < n; ++k) {
-    double d = a[k] - b[k];
-    sum += d * d;
+  for (size_t g = 0; g < R; g += 4) {
+    __m256d sum = ReduceLanes4x4(acc[g], acc[g + 1], acc[g + 2], acc[g + 3]);
+    const double* bg = b + g * b_stride;
+    for (size_t kr = k; kr < n; ++kr) {
+      const __m256d vb = _mm256_set_pd(bg[3 * b_stride + kr], bg[2 * b_stride + kr],
+                                       bg[b_stride + kr], bg[kr]);
+      sum = _mm256_add_pd(sum, RowTerm<kSqDist>(_mm256_set1_pd(a[kr]), vb));
+    }
+    _mm256_storeu_pd(out + g, sum);
   }
-  return sum;
+}
+
+template <bool kSqDist>
+void Avx2RowReductions(const double* a, const double* b, size_t b_stride, size_t n,
+                       double* out, size_t m) {
+  size_t j = 0;
+  for (; j + 8 <= m; j += 8) {
+    RowBlock<kSqDist, 8>(a, b + j * b_stride, b_stride, n, out + j);
+  }
+  for (; j + 4 <= m; j += 4) {
+    RowBlock<kSqDist, 4>(a, b + j * b_stride, b_stride, n, out + j);
+  }
+  for (; j < m; ++j) {
+    out[j] = RowReduce<kSqDist>(a, b + j * b_stride, n);
+  }
+}
+
+// P panels of history rows side by side, one row per vector lane: each lane
+// runs SqDist's textbook chain (sum += d * d, k ascending) for its own row.
+// _mm256_min_pd(sum, best) keeps best unless sum < best — std::min(best,
+// sum) — so NaN and +inf never win, and lanes at or past `rows` are forced
+// to DBL_MAX before they meet the minimum.
+template <size_t P>
+__m256d PanelBlock(const double* x, const double* panels, size_t dim, size_t first_row,
+                   size_t rows, __m256d best) {
+  const size_t panel_size = dim * kPanelLanes;
+  __m256d acc[P];
+  for (size_t p = 0; p < P; ++p) {
+    acc[p] = _mm256_setzero_pd();
+  }
+  for (size_t k = 0; k < dim; ++k) {
+    const __m256d vx = _mm256_set1_pd(x[k]);
+    const double* h = panels + k * kPanelLanes;
+    for (size_t p = 0; p < P; ++p) {
+      const __m256d d = _mm256_sub_pd(vx, _mm256_loadu_pd(h + p * panel_size));
+      acc[p] = _mm256_add_pd(acc[p], _mm256_mul_pd(d, d));
+    }
+  }
+  const __m256d dbl_max = _mm256_set1_pd(std::numeric_limits<double>::max());
+  for (size_t p = 0; p < P; ++p) {
+    const size_t row0 = first_row + p * kPanelLanes;
+    if (row0 + kPanelLanes > rows) {
+      acc[p] = _mm256_blendv_pd(dbl_max, acc[p], LaneMask(rows - row0));
+    }
+    best = _mm256_min_pd(acc[p], best);
+  }
+  return best;
+}
+
+// Four panels (16 rows) in flight keep four independent add chains busy.
+double Avx2PanelNearest(const double* x, const double* panels, size_t dim, size_t rows) {
+  const size_t panel_count = (rows + kPanelLanes - 1) / kPanelLanes;
+  __m256d best = _mm256_set1_pd(std::numeric_limits<double>::max());
+  size_t p = 0;
+  for (; p + 4 <= panel_count; p += 4) {
+    best = PanelBlock<4>(x, panels + p * dim * kPanelLanes, dim, p * kPanelLanes, rows, best);
+  }
+  for (; p < panel_count; ++p) {
+    best = PanelBlock<1>(x, panels + p * dim * kPanelLanes, dim, p * kPanelLanes, rows, best);
+  }
+  double lanes[4];
+  _mm256_storeu_pd(lanes, best);
+  double nearest = std::numeric_limits<double>::max();
+  for (double lane : lanes) {
+    nearest = std::min(nearest, lane);
+  }
+  return nearest;
 }
 
 double Avx2SqNorm(const double* x, size_t n) {
@@ -275,8 +436,9 @@ void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",   Avx2GemmRow, Avx2Axpy, Avx2AxpyDiff, Avx2Vadd, Avx2Dot,
-    Avx2SqDist, Avx2SqNorm, Avx2Scal, Avx2Relu,    Avx2AdamUpdate,
+    "avx2",     Avx2GemmRow, Avx2AxpyRows, Avx2AxpyDiff, Avx2Vadd, Avx2RowReductions<false>,
+    Avx2RowReductions<true>, Avx2PanelNearest, Avx2SqNorm, Avx2Scal, Avx2Relu,
+    Avx2AdamUpdate,
 };
 
 }  // namespace

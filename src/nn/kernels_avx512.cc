@@ -1,7 +1,7 @@
 // AVX-512 backend of the kernel dispatch layer (see kernels.h).
 //
 // This translation unit is the only one compiled with `-mavx512f` (plus
-// `-mavx2 -mfma` for the 256-bit reduction bodies); CMake adds the flags
+// `-mavx2 -mfma`, which the guard below requires); CMake adds the flags
 // per-file together with `-ffp-contract=off` and defines WF_KERNELS_AVX512,
 // so the base build stays portable and the compiler cannot contract the
 // explicit mul/add intrinsics into FMAs. Selection is CPUID-guarded at
@@ -11,14 +11,14 @@
 //
 // Bit-exactness is preserved per kernel class:
 //
-//   * elementwise kernels (gemm_row's per-j accumulation, axpy, axpy_diff,
-//     vadd, scal, relu, adam_update) compute each output index from the
-//     same expression tree regardless of vector width, so running them
-//     8-wide changes nothing but speed;
-//   * the order-sensitive reductions (dot, sqdist, sqnorm) must reproduce
-//     the canonical 4-lane strided accumulator and its (l0 + l1) + (l2 + l3)
-//     reduction, so they reuse the 256-bit bodies verbatim — an 8-lane sum
-//     would be a different (and thus non-identical) summation tree.
+//   * elementwise kernels (gemm_row's per-j accumulation, axpy_diff, vadd,
+//     scal, relu, adam_update) compute each output index from the same
+//     expression tree regardless of vector width, so running them 8-wide
+//     changes nothing but speed;
+//   * the order-sensitive reductions and row-blocked kernels (axpy_rows,
+//     dot_rows, sqdist_rows, panel_nearest, sqnorm) must reproduce the
+//     canonical 4-lane structure, so this table takes them from the AVX2
+//     table itself rather than carrying a copy.
 #include "src/nn/kernels.h"
 
 #if defined(WF_KERNELS_AVX512) && defined(__AVX512F__) && defined(__AVX2__)
@@ -27,12 +27,6 @@
 
 namespace wayfinder {
 namespace {
-
-inline double ReduceLanes4(__m256d acc) {
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
 
 // One k-block-of-4 contribution to an 8-wide j tile: the four products are
 // summed first, then added to the accumulator (the portable expression tree,
@@ -124,18 +118,6 @@ void Avx512GemmRow(const double* a, size_t k_dim, const double* b, size_t b_stri
   }
 }
 
-void Avx512Axpy(double a, const double* x, double* y, size_t n) {
-  const __m512d va = _mm512_set1_pd(a);
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __m512d t = _mm512_mul_pd(va, _mm512_loadu_pd(x + j));
-    _mm512_storeu_pd(y + j, _mm512_add_pd(_mm512_loadu_pd(y + j), t));
-  }
-  for (; j < n; ++j) {
-    y[j] += a * x[j];
-  }
-}
-
 void Avx512AxpyDiff(double a, const double* x, const double* y, double* out, size_t n) {
   const __m512d va = _mm512_set1_pd(a);
   size_t j = 0;
@@ -158,51 +140,6 @@ void Avx512Vadd(const double* x, double* y, size_t n) {
   for (; j < n; ++j) {
     y[j] += x[j];
   }
-}
-
-// Reductions: 256-bit bodies, identical to the AVX2 backend — the 4-lane
-// strided accumulator is part of the bit-exactness contract.
-
-double Avx512Dot(const double* a, const double* b, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(a + k), _mm256_loadu_pd(b + k)));
-  }
-  double sum = ReduceLanes4(acc);
-  for (; k < n; ++k) {
-    sum += a[k] * b[k];
-  }
-  return sum;
-}
-
-double Avx512SqDist(const double* a, const double* b, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    __m256d d = _mm256_sub_pd(_mm256_loadu_pd(a + k), _mm256_loadu_pd(b + k));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-  }
-  double sum = ReduceLanes4(acc);
-  for (; k < n; ++k) {
-    double d = a[k] - b[k];
-    sum += d * d;
-  }
-  return sum;
-}
-
-double Avx512SqNorm(const double* x, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    __m256d v = _mm256_loadu_pd(x + k);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
-  }
-  double sum = ReduceLanes4(acc);
-  for (; k < n; ++k) {
-    sum += x[k] * x[k];
-  }
-  return sum;
 }
 
 void Avx512Scal(double a, double* x, size_t n) {
@@ -278,15 +215,25 @@ void Avx512AdamUpdate(double* value, double* grad, double* m, double* v, size_t 
   }
 }
 
-constexpr KernelOps kAvx512Ops = {
-    "avx512",     Avx512GemmRow, Avx512Axpy, Avx512AxpyDiff,
-    Avx512Vadd,   Avx512Dot,     Avx512SqDist, Avx512SqNorm,
-    Avx512Scal,   Avx512Relu,    Avx512AdamUpdate,
-};
-
 }  // namespace
 
-const KernelOps* Avx512KernelOps() { return &kAvx512Ops; }
+// The AVX2 table with its elementwise kernels swapped for the 512-bit ones.
+// CMake compiles this translation unit only where it also compiles the AVX2
+// one, so the AVX2 table always exists here.
+const KernelOps* Avx512KernelOps() {
+  static const KernelOps table = [] {
+    KernelOps ops = *Avx2KernelOps();
+    ops.name = "avx512";
+    ops.gemm_row = Avx512GemmRow;
+    ops.axpy_diff = Avx512AxpyDiff;
+    ops.vadd = Avx512Vadd;
+    ops.scal = Avx512Scal;
+    ops.relu = Avx512Relu;
+    ops.adam_update = Avx512AdamUpdate;
+    return ops;
+  }();
+  return &table;
+}
 
 }  // namespace wayfinder
 

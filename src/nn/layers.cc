@@ -222,14 +222,23 @@ double RbfLayer::AccumulateChamferGradient(double weight, const Parallelism& par
   size_t d = c.cols();
   double loss = 0.0;
 
+  // One K x N table of squared distances serves both terms. a - b == -(b - a)
+  // exactly, so (c - z)^2 and (z - c)^2 are bitwise equal and term 2 reads
+  // the entries term 1 reads; the argmins and the loss are those of two
+  // separate distance passes.
+  chamfer_dist_.Reshape(k, n);
+  for (size_t ci = 0; ci < k; ++ci) {
+    ops.sqdist_rows(c.Row(ci), z.Row(0), d, d, chamfer_dist_.Row(ci), n);
+  }
+
   // Term 1: every centroid is pulled toward its nearest batch point.
   for (size_t ci = 0; ci < k; ++ci) {
+    const double* dist = chamfer_dist_.Row(ci);
     size_t best = 0;
     double best_dist = std::numeric_limits<double>::max();
     for (size_t ni = 0; ni < n; ++ni) {
-      double dist = ops.sqdist(c.Row(ci), z.Row(ni), d);
-      if (dist < best_dist) {
-        best_dist = dist;
+      if (dist[ni] < best_dist) {
+        best_dist = dist[ni];
         best = ni;
       }
     }
@@ -242,7 +251,7 @@ double RbfLayer::AccumulateChamferGradient(double weight, const Parallelism& par
     size_t best = 0;
     double best_dist = std::numeric_limits<double>::max();
     for (size_t ci = 0; ci < k; ++ci) {
-      double dist = ops.sqdist(z.Row(ni), c.Row(ci), d);
+      double dist = chamfer_dist_.At(ci, ni);
       if (dist < best_dist) {
         best_dist = dist;
         best = ci;

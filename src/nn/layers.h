@@ -140,6 +140,7 @@ class RbfLayer {
   Matrix input_copy_;
   Matrix phi_copy_;
   std::vector<double> centroid_sq_norms_;  // Forward scratch.
+  Matrix chamfer_dist_;                    // Chamfer scratch: K x N distances.
 };
 
 }  // namespace wayfinder

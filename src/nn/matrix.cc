@@ -107,11 +107,7 @@ size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out, const Paralle
   ParallelFor(par.pool, a.rows(), RowGrain(k_dim * b.rows()), par.max_ways,
               [&](size_t r0, size_t r1) {
                 for (size_t i = r0; i < r1; ++i) {
-                  const double* arow = a.Row(i);
-                  double* orow = out.Row(i);
-                  for (size_t j = 0; j < b.rows(); ++j) {
-                    orow[j] = ops.dot(arow, b.Row(j), k_dim);
-                  }
+                  ops.dot_rows(a.Row(i), b.data().data(), k_dim, k_dim, out.Row(i), b.rows());
                 }
               });
   return grew;
@@ -129,17 +125,17 @@ size_t MatMulAtInto(const Matrix& a, const Matrix& b, Matrix& out) {
 void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, const KernelOps* ops) {
   assert(a.rows() == b.rows());
   assert(acc.rows() == a.cols() && acc.cols() == b.cols());
+  // One kernel call per gradient row i: acc[i] += sum over k of a[k][i] *
+  // b[k], k ascending, zero a[k][i] skipped — per element the same sums as
+  // one axpy per (k, i), but each row of acc is read and written once.
+  if (a.rows() == 0) {
+    return;
+  }
   const KernelOps& k_ops = Ops(ops);
-  for (size_t k = 0; k < a.rows(); ++k) {
-    const double* arow = a.Row(k);
-    const double* brow = b.Row(k);
-    for (size_t i = 0; i < a.cols(); ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) {
-        continue;
-      }
-      k_ops.axpy(aki, brow, acc.Row(i), b.cols());
-    }
+  const double* a_base = a.data().data();
+  const double* b_base = b.data().data();
+  for (size_t i = 0; i < a.cols(); ++i) {
+    k_ops.axpy_rows(a_base + i, a.cols(), b_base, b.cols(), a.rows(), acc.Row(i), b.cols());
   }
 }
 
@@ -282,9 +278,11 @@ double RowSqDist(const Matrix& a, size_t r, const Matrix& b, size_t s) {
 
 double SqDist(const double* a, const double* b, size_t n) {
   // Deliberately the textbook serial sum, NOT the dispatched kernel: this is
-  // the reference implementation the naive baseline (PredictBatchNaive) and
-  // the scoring-path Dissimilarity build on, so it must stay independent of
-  // the backend under test. Hot paths use KernelOps::sqdist directly.
+  // the reference the naive baseline (PredictBatchNaive) builds on and the
+  // tests check KernelOps::panel_nearest against, so it must stay
+  // independent of the backend under test. Candidate scoring no longer
+  // calls it: its Dissimilarity runs panel_nearest over the history ring,
+  // which evaluates this same serial sum per history row.
   double sum = 0.0;
   for (size_t k = 0; k < n; ++k) {
     double d = a[k] - b[k];

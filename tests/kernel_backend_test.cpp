@@ -1,9 +1,10 @@
 // Tests for the runtime-dispatched SIMD kernel backend (src/nn/kernels.h):
 // primitive-level and matrix-level equivalence between the portable and AVX2
-// backends, the Adam moment floor's edge cases, bit-identical threaded Adam,
-// a weight pin past the subnormal onset, and the end-to-end invariant the
-// design buys — a fixed-seed DeepTune search trajectory is unchanged by the
-// backend choice.
+// backends, the row-blocked kernels against the per-call loops they replaced
+// (every tile and remainder, special values), the Adam moment floor's edge
+// cases, bit-identical threaded Adam, a weight pin past the subnormal onset,
+// and the end-to-end invariant the design buys — a fixed-seed DeepTune search
+// trajectory is unchanged by the backend choice.
 //
 // The backends are built to be *bit-identical* (same expression trees, same
 // lane-structured reductions, FMA contraction off), so these tests assert
@@ -90,14 +91,20 @@ TEST_P(KernelBackendPrimitives, MatchPortableBitwise) {
     std::vector<double> a = RandomArray(rng, n);
     std::vector<double> b = RandomArray(rng, n);
 
-    EXPECT_EQ(portable.dot(a.data(), b.data(), n), simd.dot(a.data(), b.data(), n)) << n;
-    EXPECT_EQ(portable.sqdist(a.data(), b.data(), n), simd.sqdist(a.data(), b.data(), n))
-        << n;
+    // dot, sqdist and axpy as the one-row case of their row-blocked forms.
+    double out_p = 0.0, out_s = 0.0;
+    portable.dot_rows(a.data(), b.data(), n, n, &out_p, 1);
+    simd.dot_rows(a.data(), b.data(), n, n, &out_s, 1);
+    EXPECT_EQ(out_p, out_s) << n;
+    portable.sqdist_rows(a.data(), b.data(), n, n, &out_p, 1);
+    simd.sqdist_rows(a.data(), b.data(), n, n, &out_s, 1);
+    EXPECT_EQ(out_p, out_s) << n;
     EXPECT_EQ(portable.sqnorm(a.data(), n), simd.sqnorm(a.data(), n)) << n;
 
     std::vector<double> y1 = b, y2 = b;
-    portable.axpy(1.7, a.data(), y1.data(), n);
-    simd.axpy(1.7, a.data(), y2.data(), n);
+    const double coef = 1.7;
+    portable.axpy_rows(&coef, 1, a.data(), n, 1, y1.data(), n);
+    simd.axpy_rows(&coef, 1, a.data(), n, 1, y2.data(), n);
     EXPECT_EQ(y1, y2) << "axpy n=" << n;
 
     y1 = b;
@@ -241,6 +248,181 @@ TEST_P(KernelBackendPrimitives, AdamFlushesAgedMoments) {
           EXPECT_EQ(v2[i], scalars.beta2 * v0[i]) << i;
         } else if (!std::isnan(v0[i]) && v0[i] < 1e-200) {
           EXPECT_EQ(Bits(v2[i]), Bits(0.0)) << i;
+        }
+      }
+    }
+  }
+}
+
+// --- row-blocked kernels against the per-call loops they replace ----------
+//
+// Each reference below is the scalar loop of one-output kernel calls that the
+// row-blocked kernel replaced. Every backend (portable included) must match
+// it bit for bit, signed zeros included; NaN matches NaN of any payload.
+
+bool SameBits(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || Bits(a) == Bits(b);
+}
+
+// Mostly normal values, with zeros of both signs, infinities, NaN and
+// subnormals mixed in at a rate that leaves most outputs finite.
+std::vector<double> SpecialArray(Rng& rng, size_t n) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0, -0.0, inf, -inf, nan, 1e-310, -3e-320, 2e-308};
+  std::vector<double> v(n);
+  for (double& x : v) {
+    const int64_t pick = rng.UniformInt(0, 63);
+    x = pick < 8 ? specials[pick] : rng.Normal();
+  }
+  return v;
+}
+
+// One dot / sqdist call: 4-lane strided sums, (l0 + l1) + (l2 + l3), serial
+// remainder.
+double RefLaneSum(const double* a, const double* b, size_t n, bool sqdist) {
+  auto term = [sqdist](double x, double y) {
+    if (sqdist) {
+      double d = x - y;
+      return d * d;
+    }
+    return x * y;
+  };
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    s0 += term(a[k], b[k]);
+    s1 += term(a[k + 1], b[k + 1]);
+    s2 += term(a[k + 2], b[k + 2]);
+    s3 += term(a[k + 3], b[k + 3]);
+  }
+  double sum = (s0 + s1) + (s2 + s3);
+  for (; k < n; ++k) {
+    sum += term(a[k], b[k]);
+  }
+  return sum;
+}
+
+const size_t kRowCounts[] = {0, 1, 3, 4, 15, 16, 17, 64, 65};
+
+TEST_P(KernelBackendPrimitives, RowReductionsMatchPerCallLoop) {
+  Rng rng(83);
+  for (const KernelOps* ops : {&KernelsFor(KernelBackend::kPortable), &KernelsFor(GetParam())}) {
+    for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 8u, 33u, 263u}) {
+      for (size_t m : kRowCounts) {
+        for (bool special : {false, true}) {
+          std::vector<double> a = special ? SpecialArray(rng, n) : RandomArray(rng, n);
+          // Stride n + 2: rows of b are not packed.
+          const size_t stride = n + 2;
+          std::vector<double> b =
+              special ? SpecialArray(rng, m * stride) : RandomArray(rng, m * stride);
+          std::vector<double> dots(m), dists(m);
+          ops->dot_rows(a.data(), b.data(), stride, n, dots.data(), m);
+          ops->sqdist_rows(a.data(), b.data(), stride, n, dists.data(), m);
+          for (size_t j = 0; j < m; ++j) {
+            const double* bj = b.data() + j * stride;
+            ASSERT_TRUE(SameBits(dots[j], RefLaneSum(a.data(), bj, n, false)))
+                << ops->name << " dot n=" << n << " m=" << m << " j=" << j;
+            ASSERT_TRUE(SameBits(dists[j], RefLaneSum(a.data(), bj, n, true)))
+                << ops->name << " sqdist n=" << n << " m=" << m << " j=" << j;
+            // One table serves both argument orders: (a - b)^2 == (b - a)^2.
+            ASSERT_TRUE(SameBits(dists[j], RefLaneSum(bj, a.data(), n, true)))
+                << ops->name << " sqdist swapped n=" << n << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelBackendPrimitives, AxpyRowsMatchesPerCallLoop) {
+  Rng rng(89);
+  for (const KernelOps* ops : {&KernelsFor(KernelBackend::kPortable), &KernelsFor(GetParam())}) {
+    // 65 and 129 batch rows also cross the non-zero list's chunk boundary.
+    for (size_t batch : {0u, 1u, 31u, 32u, 33u, 65u, 129u}) {
+      for (size_t n : kRowCounts) {
+        for (bool special : {false, true}) {
+          // One column of a (stride 3) against the batch-major rows of x.
+          const size_t a_stride = 3;
+          std::vector<double> a = RandomArray(rng, batch * a_stride);
+          for (size_t r = 0; r < batch; ++r) {
+            const int64_t pick = rng.UniformInt(0, 3);
+            if (pick == 0) {
+              a[r * a_stride] = 0.0;  // Sparse activations: skipped rows.
+            } else if (pick == 1) {
+              a[r * a_stride] = -0.0;
+            }
+          }
+          if (special && batch > 0) {
+            a[(batch / 2) * a_stride] = std::numeric_limits<double>::quiet_NaN();
+            a[(batch - 1) * a_stride] = 1e-310;
+          }
+          std::vector<double> x =
+              special ? SpecialArray(rng, batch * n) : RandomArray(rng, batch * n);
+          // Accumulators start as -0.0 in every third slot: a zero
+          // coefficient must leave them -0.0 (0 * x added would make +0.0).
+          std::vector<double> y = special ? SpecialArray(rng, n) : RandomArray(rng, n);
+          for (size_t j = 0; j < n; j += 3) {
+            y[j] = -0.0;
+          }
+          std::vector<double> want = y;
+          for (size_t r = 0; r < batch; ++r) {
+            const double c = a[r * a_stride];
+            if (c == 0.0) {
+              continue;
+            }
+            for (size_t j = 0; j < n; ++j) {
+              want[j] += c * x[r * n + j];
+            }
+          }
+          ops->axpy_rows(a.data(), a_stride, x.data(), n, batch, y.data(), n);
+          for (size_t j = 0; j < n; ++j) {
+            ASSERT_TRUE(SameBits(y[j], want[j]))
+                << ops->name << " batch=" << batch << " n=" << n << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+  // All coefficients zero: every accumulator is left exactly as it was.
+  for (const KernelOps* ops : {&KernelsFor(KernelBackend::kPortable), &KernelsFor(GetParam())}) {
+    const std::vector<double> zeros = {0.0, -0.0, 0.0, -0.0};
+    const std::vector<double> x(4 * 17, std::numeric_limits<double>::infinity());
+    std::vector<double> y(17, -0.0);
+    ops->axpy_rows(zeros.data(), 1, x.data(), 17, zeros.size(), y.data(), 17);
+    for (double v : y) {
+      EXPECT_EQ(Bits(v), Bits(-0.0)) << ops->name;
+    }
+  }
+}
+
+TEST_P(KernelBackendPrimitives, PanelNearestIsMinOfTextbookSqDist) {
+  Rng rng(97);
+  for (const KernelOps* ops : {&KernelsFor(KernelBackend::kPortable), &KernelsFor(GetParam())}) {
+    for (size_t dim : {1u, 3u, 4u, 263u}) {
+      for (size_t rows : {0u, 1u, 3u, 4u, 5u, 15u, 16u, 17u, 64u, 65u, 127u, 128u}) {
+        for (bool special : {false, true}) {
+          std::vector<double> x = special ? SpecialArray(rng, dim) : RandomArray(rng, dim);
+          // Allocate two spare panels and fill every slot with x itself, so
+          // an unfilled lane that leaked into the min would win at 0.
+          const size_t panels = rows / kPanelLanes + 2;
+          std::vector<double> panel(panels * kPanelLanes * dim);
+          for (size_t r = 0; r < panels * kPanelLanes; ++r) {
+            for (size_t k = 0; k < dim; ++k) {
+              panel[PanelIndex(r, k, dim)] = x[k];
+            }
+          }
+          double want = std::numeric_limits<double>::max();
+          for (size_t r = 0; r < rows; ++r) {
+            std::vector<double> h = special ? SpecialArray(rng, dim) : RandomArray(rng, dim);
+            for (size_t k = 0; k < dim; ++k) {
+              panel[PanelIndex(r, k, dim)] = h[k];
+            }
+            want = std::min(want, SqDist(x.data(), h.data(), dim));
+          }
+          const double got = ops->panel_nearest(x.data(), panel.data(), dim, rows);
+          ASSERT_EQ(Bits(got), Bits(want))
+              << ops->name << " dim=" << dim << " rows=" << rows << " special=" << special;
         }
       }
     }

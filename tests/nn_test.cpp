@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "src/core/dtm.h"
+#include "src/nn/kernels.h"
 #include "src/nn/layers.h"
 #include "src/nn/losses.h"
 #include "src/nn/matrix.h"
@@ -201,6 +204,118 @@ TEST(ChamferTest, PullsCentroidsTowardData) {
   }
   for (double v : rbf.centroids().value.data()) {
     EXPECT_NEAR(v, 5.0, 0.2);
+  }
+}
+
+// The Chamfer regularizer as two distance passes: term 1 measures
+// sqdist(c, z), term 2 sqdist(z, c), each with the 4-lane strided tree of
+// one per-pair kernel call. AccumulateChamferGradient reads one shared K x N
+// table for both terms and must reproduce this bit for bit.
+double TwoPassChamferReference(const Matrix& c, const Matrix& z, double weight, Matrix& grad) {
+  auto sqdist = [](const double* a, const double* b, size_t n) {
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    size_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+      double d0 = a[k] - b[k], d1 = a[k + 1] - b[k + 1];
+      double d2 = a[k + 2] - b[k + 2], d3 = a[k + 3] - b[k + 3];
+      s0 += d0 * d0;
+      s1 += d1 * d1;
+      s2 += d2 * d2;
+      s3 += d3 * d3;
+    }
+    double sum = (s0 + s1) + (s2 + s3);
+    for (; k < n; ++k) {
+      double d = a[k] - b[k];
+      sum += d * d;
+    }
+    return sum;
+  };
+  auto axpy_diff = [](double a, const double* x, const double* y, double* out, size_t n) {
+    for (size_t j = 0; j < n; ++j) {
+      out[j] += a * (x[j] - y[j]);
+    }
+  };
+  const size_t k = c.rows(), n = z.rows(), d = c.cols();
+  double loss = 0.0;
+  for (size_t ci = 0; ci < k; ++ci) {
+    size_t best = 0;
+    double best_dist = std::numeric_limits<double>::max();
+    for (size_t ni = 0; ni < n; ++ni) {
+      double dist = sqdist(c.Row(ci), z.Row(ni), d);
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = ni;
+      }
+    }
+    loss += best_dist / static_cast<double>(k);
+    axpy_diff(weight * 2.0 / static_cast<double>(k), c.Row(ci), z.Row(best), grad.Row(ci), d);
+  }
+  for (size_t ni = 0; ni < n; ++ni) {
+    size_t best = 0;
+    double best_dist = std::numeric_limits<double>::max();
+    for (size_t ci = 0; ci < k; ++ci) {
+      double dist = sqdist(z.Row(ni), c.Row(ci), d);
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = ci;
+      }
+    }
+    loss += best_dist / static_cast<double>(n);
+    axpy_diff(weight * 2.0 / static_cast<double>(n), c.Row(best), z.Row(ni), grad.Row(best),
+              d);
+  }
+  return loss;
+}
+
+uint64_t DoubleBits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// Centroid coordinates near zero (squares in the subnormal range, the regime
+// of an aged model's dead units), always-zero input columns, exact argmin
+// ties and a centroid sitting exactly on a batch point.
+TEST(ChamferTest, SharedTableMatchesTwoPassReferenceBitwise) {
+  for (KernelBackend backend :
+       {KernelBackend::kPortable, KernelBackend::kAvx2, KernelBackend::kAvx512}) {
+    Rng rng(29);
+    const size_t dim = 19, centroids = 7, batch = 13;
+    RbfLayer rbf(dim, centroids, 1.0, rng);
+    for (double& v : rbf.centroids().value.data()) {
+      v = rng.Normal() * 1e-160;
+    }
+    Matrix z(batch, dim);
+    for (size_t n = 0; n < batch; ++n) {
+      for (size_t j = 0; j < dim; ++j) {
+        z.At(n, j) = j < 5 ? 0.0 : (j < 11 ? rng.Normal() * 1e-158 : rng.Normal());
+      }
+    }
+    std::copy(z.Row(2), z.Row(2) + dim, rbf.centroids().value.Row(3));  // Zero distance.
+    // Exact ties between distinct points: batch rows 6 and 7 are unit vectors
+    // at distance exactly 1 from the all-zero centroid 5 (a term-1 tie), and
+    // every near-zero centroid is at distance 1 from row 6 too (a term-2
+    // tie), so the first-strictly-smaller argmin is what picks the target.
+    std::fill(z.Row(6), z.Row(8), 0.0);
+    z.At(6, 12) = 1.0;
+    z.At(7, 16) = 1.0;
+    std::fill(rbf.centroids().value.Row(5), rbf.centroids().value.Row(6), 0.0);
+    for (double& g : rbf.centroids().grad.data()) {
+      g = rng.Normal();  // The gradient accumulates onto what is there.
+    }
+    Matrix ref_grad = rbf.centroids().grad;
+    const double ref_loss =
+        TwoPassChamferReference(rbf.centroids().value, z, 0.05, ref_grad);
+
+    Matrix phi;
+    Parallelism par{nullptr, 1, &KernelsFor(backend)};
+    rbf.ForwardInto(z, phi, par);
+    const double loss = rbf.AccumulateChamferGradient(0.05, par);
+    EXPECT_EQ(DoubleBits(loss), DoubleBits(ref_loss)) << KernelBackendName(backend);
+    for (size_t i = 0; i < ref_grad.size(); ++i) {
+      ASSERT_EQ(DoubleBits(rbf.centroids().grad.data()[i]), DoubleBits(ref_grad.data()[i]))
+          << KernelBackendName(backend) << " element " << i;
+    }
   }
 }
 

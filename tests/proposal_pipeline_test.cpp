@@ -9,12 +9,17 @@
 //     MultiMetricSearcher;
 //   * the proposal path stays allocation-stable once warm, asserted through
 //     DeepTuneSearcher::MemoryBytes so footprint regressions fail loudly;
-//   * MemoryBytes accounts for the elite set and the memoized-encode cache.
+//   * MemoryBytes accounts for the elite set and the memoized-encode cache;
+//   * the scoring history ring's panel scan returns exactly the min of
+//     textbook SqDist over its live window, through fills, wraps and a
+//     replaced history, on every backend.
 //
 // On hardware without AVX2/AVX-512 those backends fall back to portable and
 // the corresponding combinations pass trivially.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,6 +28,7 @@
 #include "src/core/multi_metric.h"
 #include "src/core/proposal.h"
 #include "src/nn/kernels.h"
+#include "src/nn/matrix.h"
 #include "src/platform/session.h"
 #include "src/simos/testbench.h"
 #include "src/util/rng.h"
@@ -182,6 +188,74 @@ TEST(ProposalPipeline, MultiMetricTrajectoryInvariantAcrossBackendsAndThreads) {
 }
 
 // --- footprint ---------------------------------------------------------------
+
+// --- history ring -------------------------------------------------------------
+
+// The panel ring's nearest distance, on every backend, must be bitwise the
+// min of textbook SqDist over the live window: for every fill level from
+// empty through one lane-width either side to the full 128-row window,
+// after the ring wraps by 1 and by 200 trials, and after a replaced history.
+TEST(ProposalPipeline, HistoryRingNearestMatchesTextbookSqDist) {
+  ConfigSpace space = BuildLinuxSearchSpace();
+  const size_t dim = space.FeatureDimension();
+  constexpr size_t kWindow = 128;
+  Rng rng(0x41e);
+  auto random_trials = [&](size_t count) {
+    std::vector<TrialRecord> trials(count);
+    for (TrialRecord& trial : trials) {
+      trial.config = space.RandomConfiguration(rng);
+    }
+    return trials;
+  };
+  std::vector<TrialRecord> history;
+  std::vector<TrialRecord> spare = random_trials(kWindow + 201);
+  // Candidates: fresh configurations plus two already in the history.
+  std::vector<Configuration> candidates;
+  for (int i = 0; i < 6; ++i) {
+    candidates.push_back(space.RandomConfiguration(rng));
+  }
+
+  EncodedHistoryRing ring;
+  auto check = [&](const std::string& label) {
+    ring.Sync(space, history, kWindow);
+    const size_t live = std::min(history.size(), kWindow);
+    ASSERT_EQ(ring.row_count(), live) << label;
+    std::vector<Configuration> probes = candidates;
+    if (live > 0) {
+      probes.push_back(history.back().config);
+      probes.push_back(history[history.size() - live].config);
+    }
+    for (const Configuration& probe : probes) {
+      const std::vector<double> x = space.Encode(probe);
+      double want = std::numeric_limits<double>::max();
+      for (size_t i = history.size() - live; i < history.size(); ++i) {
+        want = std::min(want, SqDist(x.data(), space.Encode(history[i].config).data(), dim));
+      }
+      for (KernelBackend backend : BackendsUnderTest()) {
+        const KernelOps& ops = KernelsFor(backend);
+        EXPECT_EQ(ops.panel_nearest(x.data(), ring.panels(), dim, ring.row_count()), want)
+            << label << " " << ops.name;
+      }
+    }
+  };
+
+  size_t used = 0;
+  for (size_t fill : {size_t{0}, size_t{1}, kPanelLanes - 1, kPanelLanes, kPanelLanes + 1,
+                      kWindow - 1, kWindow}) {
+    for (; used < fill; ++used) {
+      history.push_back(spare[used]);
+    }
+    check("fill " + std::to_string(fill));
+  }
+  history.push_back(spare[used++]);
+  check("wrapped by 1");
+  for (int i = 0; i < 200; ++i) {
+    history.push_back(spare[used++]);
+  }
+  check("wrapped by 200");
+  history = random_trials(kPanelLanes + 1);
+  check("replaced history");
+}
 
 // Repeated Proposes on a warm searcher must not grow its live state: the
 // candidate pool, its encoded batch, the history ring, and the model
