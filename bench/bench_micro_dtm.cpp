@@ -5,8 +5,7 @@
 //
 //   * dtm_update_*: one full Update() — minibatch gather from the replay
 //     buffer, forward/backward, losses, Chamfer, Adam — across the
-//     {portable, avx2, avx512-when-available} kernel backends x {serial,
-//     4-thread} split;
+//     {portable, avx2} kernel backends x {serial, 4-thread} split;
 //   * dtm_update_aged_*: the same Update on a model aged past the Adam
 //     subnormal onset (portable and avx2, serial), with an aged/fresh
 //     summary record;
@@ -22,8 +21,6 @@
 // so every variant of a bench computes the same numbers — only the speed
 // differs. A summary record reports the update speedups; on pre-AVX2
 // hardware the avx2 variants fall back to portable and the speedup is ~1.
-// The avx512 variants (emitted only where the backend is available) are the
-// measurement behind the backend's opt-in default — see docs/perf.md.
 //
 // Usage: bench_micro_dtm [--dim D] [--samples N] [--threads T]
 //   WF_FAST=1 shortens the measurement window (smoke mode, the
@@ -235,50 +232,34 @@ int main(int argc, char** argv) {
   }
 
   const bool has_avx2 = KernelBackendAvailable(KernelBackend::kAvx2);
-  const bool has_avx512 = KernelBackendAvailable(KernelBackend::kAvx512);
-  std::printf("{\"bench\": \"kernel_backend\", \"default\": \"%s\", \"avx2_available\": %s, "
-              "\"avx512_available\": %s}\n",
-              KernelBackendName(DefaultKernelBackend()), has_avx2 ? "true" : "false",
-              has_avx512 ? "true" : "false");
+  std::printf("{\"bench\": \"kernel_backend\", \"default\": \"%s\", \"avx2_available\": %s}\n",
+              KernelBackendName(DefaultKernelBackend()), has_avx2 ? "true" : "false");
 
   // Full Update across kernel backend x thread split. `--threads 0|1` means
   // serial-only: the threaded variants (and their summary ratios) are
-  // dropped rather than emitting duplicate or zero records. The avx512
-  // variants only appear where the backend is genuinely available, so the
-  // anchor set stays machine-honest (and the gate never sees a fallback
-  // measured under the wrong name).
+  // dropped rather than emitting duplicate or zero records.
   const std::string update_bench =
       "dtm_update_" + std::to_string(dim) + "d_" + std::to_string(samples) + "s";
   std::vector<size_t> thread_variants = {0};
   if (threads > 1) {
     thread_variants.push_back(threads);
   }
-  std::vector<KernelBackend> backends = {KernelBackend::kPortable, KernelBackend::kAvx2};
-  if (has_avx512) {
-    backends.push_back(KernelBackend::kAvx512);
-  }
-  double portable_serial = 0.0, avx2_serial = 0.0, avx512_serial = 0.0,
-         portable_threaded = 0.0, avx2_threaded = 0.0;
-  for (KernelBackend backend : backends) {
+  double portable_serial = 0.0, avx2_serial = 0.0, portable_threaded = 0.0,
+         avx2_threaded = 0.0;
+  for (KernelBackend backend : {KernelBackend::kPortable, KernelBackend::kAvx2}) {
     for (size_t t : thread_variants) {
       double ops = BenchUpdate(dim, samples, backend, t);
       Report(update_bench, VariantName(backend, t), ops);
       if (backend == KernelBackend::kPortable) {
         (t == 0 ? portable_serial : portable_threaded) = ops;
-      } else if (backend == KernelBackend::kAvx2) {
+      } else {
         (t == 0 ? avx2_serial : avx2_threaded) = ops;
-      } else if (t == 0) {
-        avx512_serial = ops;
       }
     }
   }
   if (portable_serial > 0.0) {
     std::printf("{\"bench\": \"dtm_update_speedup\", \"avx2_over_portable\": %.2f",
                 avx2_serial / portable_serial);
-    if (avx512_serial > 0.0 && avx2_serial > 0.0) {
-      std::printf(", \"avx512_over_portable\": %.2f, \"avx512_over_avx2\": %.2f",
-                  avx512_serial / portable_serial, avx512_serial / avx2_serial);
-    }
     if (portable_threaded > 0.0) {
       std::printf(", \"threads_over_serial\": %.2f, "
                   "\"avx2_threads_over_portable_serial\": %.2f",

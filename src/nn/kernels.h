@@ -4,26 +4,18 @@
 // the row-blocked dot / squared-distance / gradient-accumulation kernels, the
 // RBF gradient loops, ReLU, the per-block Adam update — and the history-panel
 // nearest-distance scan of candidate scoring is reached through a `KernelOps`
-// vtable of raw pointer kernels. Three backends implement the table:
+// vtable of raw pointer kernels. Two backends implement the table:
 //
 //   * portable — plain C++, compiled with the base flags, runs anywhere;
 //   * avx2     — 256-bit vector implementations, compiled in a separate
-//     translation unit with `-mavx2 -mfma` (gated per-file in CMake so the
-//     rest of the build stays portable), selected only when CPUID reports
-//     AVX2 support;
-//   * avx512   — 512-bit implementations of the elementwise kernels (per-
-//     index math is width-invariant, so they stay bit-identical); every
-//     order-sensitive reduction and row-blocked kernel is the AVX2 table's
-//     own entry. Opt-in only: CPUID auto-resolution never picks it, because
-//     512-bit execution can downclock client cores (see docs/perf.md for the
-//     measurement); select it explicitly via `WF_KERNELS=avx512` or
-//     `DtmOptions::kernels`.
+//     translation unit with `-mavx2` (gated per-file in CMake so the rest of
+//     the build stays portable), selected only when CPUID reports AVX2
+//     support.
 //
-// The backend is resolved once, on first use:
-// `WF_KERNELS=portable|avx2|avx512` overrides, otherwise CPUID picks the
-// widest available implementation up to AVX2. Models can pin a backend
-// per-instance via `DtmOptions::kernels`, which flows to the kernels
-// through `Parallelism::kernels`.
+// The backend is resolved once, on first use: `WF_KERNELS=portable|avx2`
+// overrides (an unknown value is ignored), otherwise CPUID picks AVX2 when
+// available. Models can pin a backend per-instance via `DtmOptions::kernels`,
+// which flows to the kernels through `Parallelism::kernels`.
 //
 // Bit-exactness contract: both backends evaluate the *same* floating-point
 // expression tree. The portable kernels are written in the lane structure
@@ -47,10 +39,9 @@
 namespace wayfinder {
 
 enum class KernelBackend {
-  kAuto = 0,  // WF_KERNELS env override, else widest CPUID-supported (<= AVX2).
+  kAuto = 0,  // WF_KERNELS env override, else AVX2 when CPUID supports it.
   kPortable,
   kAvx2,
-  kAvx512,    // Opt-in only; never chosen by CPUID auto-resolution.
 };
 
 // Moment floor of every backend's adam_update. Right after computing them,
@@ -95,7 +86,7 @@ struct AdamScalars {
 // The dispatched inner loops. All pointers are to dense double arrays; no
 // kernel allocates or assumes alignment (loads are unaligned).
 struct KernelOps {
-  const char* name;  // "portable" | "avx2" | "avx512"
+  const char* name;  // "portable" | "avx2"
 
   // One full output row of the streamed matmul:
   //   out[j] = (bias ? bias[j] : 0) + sum over k-blocks-of-4 of
@@ -174,10 +165,6 @@ const char* KernelBackendName(KernelBackend backend);
 // Defined in kernels_avx2.cc: the AVX2 table, or nullptr when that TU was
 // compiled without AVX2 support.
 const KernelOps* Avx2KernelOps();
-
-// Defined in kernels_avx512.cc: the AVX-512 table, or nullptr when that TU
-// was compiled without AVX-512F support.
-const KernelOps* Avx512KernelOps();
 
 // The one resolution rule for optional per-call backend pointers (e.g.
 // Parallelism::kernels): an explicit table wins, nullptr means the process

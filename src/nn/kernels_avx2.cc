@@ -1,10 +1,10 @@
 // AVX2 backend of the kernel dispatch layer (see kernels.h).
 //
-// This translation unit is the only one compiled with `-mavx2 -mfma`; CMake
-// adds the flags per-file (plus `-ffp-contract=off`) and defines
-// WF_KERNELS_AVX2, so the base build stays portable and the compiler cannot
-// contract the explicit mul/add intrinsics into FMAs. Every kernel evaluates
-// the exact expression tree of its portable twin in kernels.cc — vector
+// This translation unit is the only one compiled with `-mavx2`; CMake adds
+// the flag per-file (plus `-ffp-contract=off`) and defines WF_KERNELS_AVX2,
+// so the base build stays portable and the compiler cannot contract the
+// explicit mul/add intrinsics into FMAs. Every kernel evaluates the exact
+// expression tree of its portable twin in kernels.cc — vector
 // lanes are the 4-way strided accumulators, reduced as (l0 + l1) + (l2 + l3)
 // — so AVX2 results are bit-identical to portable ones. Selection is still
 // guarded by CPUID at runtime (kernels.cc), so a binary carrying this TU

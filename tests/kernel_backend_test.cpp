@@ -1,7 +1,8 @@
 // Tests for the runtime-dispatched SIMD kernel backend (src/nn/kernels.h):
-// primitive-level and matrix-level equivalence between the portable and AVX2
-// backends, the row-blocked kernels against the per-call loops they replaced
-// (every tile and remainder, special values), the Adam moment floor's edge
+// the WF_KERNELS override, primitive-level and matrix-level equivalence
+// between the portable and AVX2 backends, the row-blocked kernels against the
+// per-call loops they replaced (every tile and remainder, special values), the
+// Adam moment floor's edge
 // cases, bit-identical threaded Adam, a weight pin past the subnormal onset,
 // and the end-to-end invariant the design buys — a fixed-seed DeepTune search
 // trajectory is unchanged by the backend choice.
@@ -54,14 +55,7 @@ Matrix RandomMatrix(Rng& rng, size_t rows, size_t cols) {
 
 TEST(KernelBackend, DispatchResolvesToARealBackend) {
   KernelBackend backend = DefaultKernelBackend();
-  // CPUID auto-resolution stops at AVX2; avx512 can only appear here via the
-  // explicit WF_KERNELS=avx512 opt-in (legal when the suite runs under it).
-  bool avx512_opted_in = false;
-  if (const char* env = std::getenv("WF_KERNELS")) {
-    avx512_opted_in = std::strcmp(env, "avx512") == 0;
-  }
-  EXPECT_TRUE(backend == KernelBackend::kPortable || backend == KernelBackend::kAvx2 ||
-              (avx512_opted_in && backend == KernelBackend::kAvx512));
+  EXPECT_TRUE(backend == KernelBackend::kPortable || backend == KernelBackend::kAvx2);
   EXPECT_STREQ(KernelsFor(KernelBackend::kPortable).name, "portable");
   if (KernelBackendAvailable(KernelBackend::kAvx2)) {
     EXPECT_STREQ(KernelsFor(KernelBackend::kAvx2).name, "avx2");
@@ -69,13 +63,42 @@ TEST(KernelBackend, DispatchResolvesToARealBackend) {
     // Unavailable backends fall back to portable instead of crashing.
     EXPECT_STREQ(KernelsFor(KernelBackend::kAvx2).name, "portable");
   }
-  if (KernelBackendAvailable(KernelBackend::kAvx512)) {
-    EXPECT_STREQ(KernelsFor(KernelBackend::kAvx512).name, "avx512");
-  } else {
-    // Requested-but-unavailable AVX-512 falls down the chain, widest first.
-    const char* fallback = KernelsFor(KernelBackend::kAvx512).name;
-    EXPECT_TRUE(std::string(fallback) == "avx2" || std::string(fallback) == "portable");
+}
+
+// The WF_KERNELS override: `portable` and `avx2` pick their table (avx2
+// coerced to portable where it is unavailable); anything else, including the
+// retired `avx512`, is ignored in favour of CPUID, so a stale value in a
+// user's environment degrades instead of breaking the run.
+TEST(KernelBackend, EnvOverrideResolvesOrFallsBackToCpuid) {
+  const KernelBackend cpuid = KernelBackendAvailable(KernelBackend::kAvx2)
+                                  ? KernelBackend::kAvx2
+                                  : KernelBackend::kPortable;
+  const KernelBackend saved_default = DefaultKernelBackend();
+  const char* saved_env = std::getenv("WF_KERNELS");
+  const std::string saved_value = saved_env != nullptr ? saved_env : "";
+
+  const struct {
+    const char* value;
+    KernelBackend want;
+  } cases[] = {
+      {"portable", KernelBackend::kPortable},
+      {"avx2", cpuid},
+      {"avx512", cpuid},
+      {"sse9", cpuid},
+  };
+  for (const auto& c : cases) {
+    ASSERT_EQ(setenv("WF_KERNELS", c.value, 1), 0);
+    SetDefaultKernelBackend(KernelBackend::kAuto);
+    EXPECT_EQ(DefaultKernelBackend(), c.want) << "WF_KERNELS=" << c.value;
+    EXPECT_STREQ(DefaultKernels().name, KernelBackendName(c.want)) << "WF_KERNELS=" << c.value;
   }
+
+  if (saved_env != nullptr) {
+    setenv("WF_KERNELS", saved_value.c_str(), 1);
+  } else {
+    unsetenv("WF_KERNELS");
+  }
+  SetDefaultKernelBackend(saved_default);
 }
 
 // Every primitive of every SIMD backend, at sizes that exercise the wide
@@ -430,7 +453,7 @@ TEST_P(KernelBackendPrimitives, PanelNearestIsMinOfTextbookSqDist) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSimdBackends, KernelBackendPrimitives,
-                         ::testing::Values(KernelBackend::kAvx2, KernelBackend::kAvx512),
+                         ::testing::Values(KernelBackend::kAvx2),
                          [](const ::testing::TestParamInfo<KernelBackend>& info) {
                            return std::string(KernelBackendName(info.param));
                          });
@@ -480,7 +503,7 @@ TEST_P(KernelBackendMatrix, MatchAcrossBackends) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSimdBackends, KernelBackendMatrix,
-                         ::testing::Values(KernelBackend::kAvx2, KernelBackend::kAvx512),
+                         ::testing::Values(KernelBackend::kAvx2),
                          [](const ::testing::TestParamInfo<KernelBackend>& info) {
                            return std::string(KernelBackendName(info.param));
                          });
@@ -628,8 +651,7 @@ uint64_t AgedTrunkWeightFnv(KernelBackend backend, size_t threads) {
 // flush never changes a weight, on any backend and at any thread count.
 TEST(KernelBackend, AgedTrunkWeightsPinnedPastSubnormalOnset) {
   constexpr uint64_t kPinnedWeightFnv = 0xcbd1f2aeea0cb34eULL;
-  for (KernelBackend backend :
-       {KernelBackend::kPortable, KernelBackend::kAvx2, KernelBackend::kAvx512}) {
+  for (KernelBackend backend : {KernelBackend::kPortable, KernelBackend::kAvx2}) {
     for (size_t threads : {size_t{0}, size_t{4}}) {
       EXPECT_EQ(AgedTrunkWeightFnv(backend, threads), kPinnedWeightFnv)
           << KernelsFor(backend).name << " threads=" << threads;

@@ -14,8 +14,8 @@
 //     textbook SqDist over its live window, through fills, wraps and a
 //     replaced history, on every backend.
 //
-// On hardware without AVX2/AVX-512 those backends fall back to portable and
-// the corresponding combinations pass trivially.
+// On hardware without AVX2 that backend falls back to portable and the
+// corresponding combinations pass trivially.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,7 +40,7 @@ std::vector<KernelBackend> BackendsUnderTest() {
   // Unavailable backends still dispatch (to a fallback table), so keeping
   // them in the list costs nothing and keeps the cross-product exhaustive
   // where the hardware allows it.
-  return {KernelBackend::kPortable, KernelBackend::kAvx2, KernelBackend::kAvx512};
+  return {KernelBackend::kPortable, KernelBackend::kAvx2};
 }
 
 std::string ComboName(KernelBackend backend, size_t threads) {
