@@ -11,6 +11,10 @@
 //     summary record;
 //   * dtm_predict_pool_*: candidate-pool PredictBatch;
 //   * dtm_add_sample: replay-buffer append;
+//   * fork_join_*: the shared pool's round trip — an empty `--threads`-way
+//     round, and rounds whose chunks each carry 4k / 8k / 16k multiply-adds
+//     against the same work run serially (the break-even behind
+//     kMinFlopsPerChunk, docs/perf.md "Fork-join cost");
 //   * propose_*: one full DeepTuneSearcher::Propose over the Linux space —
 //     sharded pool assembly (line search + mutation + random + encode) plus
 //     the batched DTM ranking pass and scoring — across {serial, 4-thread}
@@ -38,8 +42,10 @@
 #include "src/core/deeptune.h"
 #include "src/core/dtm.h"
 #include "src/nn/kernels.h"
+#include "src/nn/matrix.h"
 #include "src/platform/trial.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace wayfinder {
 namespace {
@@ -149,6 +155,7 @@ constexpr size_t kAgedAdamSteps = 8192;
 // aging costs ~250 Updates per instance.
 double BenchUpdateAged(size_t dim, size_t samples, KernelBackend backend) {
   DtmOptions options;
+  options.threads = 0;  // Serial, like the fresh Update it is divided by.
   options.kernels = backend;
   auto model = std::make_unique<DeepTuneModel>(dim, options);
   SeedReplayBuffer(*model, dim, samples);
@@ -304,6 +311,32 @@ int main(int argc, char** argv) {
     for (KernelBackend backend : {KernelBackend::kPortable, KernelBackend::kAvx2}) {
       Report("propose_pool128_hist128", VariantName(backend, 0),
              BenchPropose(128, 0, DeepTuneSearcher::kHistoryWindow, backend));
+    }
+  }
+
+  // Fork-join cost: one round of `threads` chunks on the shared pool. Each
+  // chunk's work is a `work`-long sum of squares (dispatched sqnorm, one
+  // multiply-add per element); the serial variant runs the same chunks in a
+  // loop. Chunks below the break-even read serial > threaded.
+  if (threads > 1) {
+    ThreadPool& pool = ThreadPool::Shared();
+    std::vector<double> sink(threads * 8, 0.0);  // One cache line per chunk.
+    const std::string t_name = "t" + std::to_string(threads);
+    Report("fork_join_round", t_name, OpsPerSec([&] {
+             pool.ParallelFor(threads, 1, threads, [&](size_t b, size_t) { sink[b * 8] += 1.0; });
+           }));
+    Rng rng(17);
+    const KernelOps& ops = DefaultKernels();
+    for (size_t work : {size_t{4096}, size_t{8192}, size_t{16384}}) {
+      std::vector<double> x = RandomFeatures(rng, work);
+      auto chunks = [&](size_t b, size_t e) {
+        for (size_t i = b; i < e; ++i) {
+          sink[i * 8] += ops.sqnorm(x.data(), work);
+        }
+      };
+      const std::string bench = "fork_join_chunk_" + std::to_string(work / 1024) + "k";
+      Report(bench, "serial", OpsPerSec([&] { chunks(0, threads); }));
+      Report(bench, t_name, OpsPerSec([&] { pool.ParallelFor(threads, 1, threads, chunks); }));
     }
   }
 

@@ -7,8 +7,8 @@
 //     strictly serial §3.1 loop; this variant gates PR-over-PR like the
 //     other micro anchors.
 //   * session_trials_per_sec/parallel4: parallel_evaluations=4 on the
-//     shared ThreadPool. Tracked but NEVER gated: on a 4-vCPU box with ~0.95
-//     effective parallelism the batch path measures pure overhead, and a
+//     shared ThreadPool. Tracked but NEVER gated: on a shared 4-vCPU box
+//     with ~2.3 effective CPUs its speedup moves with co-tenant load, and a
 //     baseline recorded on a wide machine must not fail a narrow one.
 //   * session_trials_per_sec/fault10: the serial loop under a ~10%
 //     mixed-fault plan with one transient retry — the hostile-world

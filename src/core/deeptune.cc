@@ -7,6 +7,7 @@
 
 #include "src/nn/kernels.h"
 #include "src/platform/searcher_registry.h"
+#include "src/util/thread_pool.h"
 
 namespace wayfinder {
 
@@ -58,13 +59,19 @@ std::vector<double> DeepTuneSearcher::ScorePool(SearchContext& context) {
   if (context.history != nullptr) {
     proposal_.history.Sync(*space_, *context.history, kHistoryWindow);
   }
+  // Candidates score independently, so they split over the pool.
   const KernelOps& ops = KernelsFor(options_.model.kernels);
+  const size_t known_rows = proposal_.history.row_count();
   std::vector<double> scores(proposal_.pool.size());
-  for (size_t i = 0; i < proposal_.pool.size(); ++i) {
-    double ds = Dissimilarity(proposal_.encoded.Row(i), dim, proposal_.history.panels(),
-                              proposal_.history.row_count(), ops);
-    scores[i] = RankScore(predictions[i], ds, sigma_norm[i], scoring_);
-  }
+  ParallelFor(SharedPoolFor(options_.model.threads), scores.size(),
+              RowGrain(dim * std::max<size_t>(known_rows, 1)), options_.model.threads,
+              [&](size_t i0, size_t i1) {
+                for (size_t i = i0; i < i1; ++i) {
+                  double ds = Dissimilarity(proposal_.encoded.Row(i), dim,
+                                            proposal_.history.panels(), known_rows, ops);
+                  scores[i] = RankScore(predictions[i], ds, sigma_norm[i], scoring_);
+                }
+              });
   return scores;
 }
 

@@ -99,10 +99,7 @@ double DtmTrunk::DenormalizeObjective(size_t head, double normalized) const {
 }
 
 Parallelism DtmTrunk::Par() const {
-  if (options_.threads <= 1) {
-    return Parallelism{nullptr, 1, kernels_};
-  }
-  return Parallelism{&ThreadPool::Shared(), options_.threads, kernels_};
+  return Parallelism{SharedPoolFor(options_.threads), options_.threads, kernels_};
 }
 
 // wf-hot-path: workspace-arena — every buffer is a ws_ member reshaped in
@@ -157,7 +154,7 @@ double DtmTrunk::Update() {
         ws_.mask[b] = true;
       }
     }
-    ParallelFor(par.pool, batch, /*grain=*/8, par.max_ways, [&](size_t b0, size_t b1) {
+    ParallelFor(par.pool, batch, RowGrain(input_dim_), par.max_ways, [&](size_t b0, size_t b1) {
       for (size_t b = b0; b < b1; ++b) {
         const std::vector<double>& row = xs_[ws_.batch_index[b]];
         std::copy(row.begin(), row.end(), ws_.x.Row(b));

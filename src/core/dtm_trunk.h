@@ -41,6 +41,7 @@
 #include "src/nn/losses.h"
 #include "src/nn/optimizer.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace wayfinder {
 
@@ -59,11 +60,13 @@ struct DtmOptions {
   double chamfer_weight = 0.05;
   uint64_t seed = 0xd7a1;
   // Parallelism of forward/backward row blocks, the training-loop minibatch
-  // gather, per-block Adam updates, and the searchers' candidate-pool
-  // generation over the process-wide shared ThreadPool: number of concurrent
-  // chunks, 0 (or 1) = fully serial. Partitioning never changes per-element
+  // gather, the Adam update, the Chamfer pass, and the searchers'
+  // candidate-pool generation and scoring over the process-wide shared
+  // ThreadPool: at most this many concurrent chunks, 0 (or 1) = fully
+  // serial. Defaults to the shared pool's width (usable CPUs, capped where
+  // more ways stop paying). Partitioning never changes per-element
   // arithmetic, so any value gives bit-identical results.
-  size_t threads = 0;
+  size_t threads = ThreadPool::SharedWidth();
   // SIMD kernel backend for this model's forward/backward/update math.
   // kAuto follows the process default (WF_KERNELS env, else CPUID). Backends
   // are bit-identical by construction, so this only changes speed.

@@ -74,7 +74,7 @@ void AssembleProposalPool(const ConfigSpace& space,
   // and encoding methods are pure over immutable space state (see the
   // thread-safety note in config_space.h), every candidate has its own RNG
   // stream, and each shard writes disjoint pool entries / encoded rows.
-  ThreadPool* tp = spec.threads > 1 ? &ThreadPool::Shared() : nullptr;
+  ThreadPool* tp = SharedPoolFor(spec.threads);
   ParallelFor(tp, pool_size, /*grain=*/8, spec.threads, [&](size_t i0, size_t i1) {
     for (size_t i = i0; i < i1; ++i) {
       Configuration& out = pool[i];

@@ -178,6 +178,9 @@ void PortableRelu(double* x, size_t n) {
 
 void PortableAdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
                         const AdamScalars& k) {
+  // Exact shortcut: bias1 = 1 - beta1^t rounds to 1.0 from t ~ 360 on, and
+  // m / 1.0 == m bitwise for every moment (±0, ±inf and NaN included).
+  const bool unit_bias1 = k.bias1 == 1.0;
   for (size_t i = 0; i < n; ++i) {
     double mi = k.beta1 * m[i] + (1.0 - k.beta1) * grad[i];
     double vi = k.beta2 * v[i] + (1.0 - k.beta2) * grad[i] * grad[i];
@@ -189,7 +192,7 @@ void PortableAdamUpdate(double* value, double* grad, double* m, double* v, size_
     }
     m[i] = mi;
     v[i] = vi;
-    double m_hat = mi / k.bias1;
+    double m_hat = unit_bias1 ? mi : mi / k.bias1;
     double v_hat = vi / k.bias2;
     double update = m_hat / (std::sqrt(v_hat) + k.epsilon);
     if (k.weight_decay > 0.0) {

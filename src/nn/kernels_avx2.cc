@@ -401,6 +401,7 @@ void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
   const __m256d moment_floor = _mm256_set1_pd(kAdamMomentFloor);
   const __m256d sign_bit = _mm256_set1_pd(-0.0);
   const bool use_wd = k.weight_decay > 0.0;
+  const bool unit_bias1 = k.bias1 == 1.0;  // The portable kernel's shortcut.
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256d g = _mm256_loadu_pd(grad + i);
@@ -417,7 +418,7 @@ void Avx2AdamUpdate(double* value, double* grad, double* m, double* v, size_t n,
     vv = _mm256_and_pd(vv, _mm256_cmp_pd(vv, moment_floor, _CMP_NLT_UQ));
     _mm256_storeu_pd(m + i, vm);
     _mm256_storeu_pd(v + i, vv);
-    __m256d m_hat = _mm256_div_pd(vm, bias1);
+    __m256d m_hat = unit_bias1 ? vm : _mm256_div_pd(vm, bias1);
     __m256d v_hat = _mm256_div_pd(vv, bias2);
     __m256d update = _mm256_div_pd(m_hat, _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps));
     __m256d val = _mm256_loadu_pd(value + i);

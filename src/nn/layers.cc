@@ -12,6 +12,10 @@ namespace wayfinder {
 
 namespace {
 inline const KernelOps& Ops(const Parallelism& par) { return ResolveKernels(par.kernels); }
+
+// Work of one std::exp in RowGrain's multiply-add units: ~4.8 ns against
+// ~0.2 ns per multiply-add (docs/perf.md, "Fork-join cost").
+constexpr size_t kExpMultiplyAdds = 24;
 }  // namespace
 
 DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, Rng& rng) {
@@ -30,7 +34,7 @@ size_t DenseLayer::ForwardInto(const Matrix& x, Matrix& y, const Parallelism& pa
 size_t DenseLayer::BackwardInto(const Matrix& dy, Matrix* dx, const Parallelism& par) {
   // dW += X^T dY ; db += colsum(dY) ; dX = dY W^T.
   assert(last_input_ != nullptr);
-  MatMulAtAccum(*last_input_, dy, weight_.grad, par.kernels);
+  MatMulAtAccum(*last_input_, dy, weight_.grad, par);
   ColSumAccum(dy, bias_.grad, par.kernels);
   if (dx == nullptr) {
     return 0;
@@ -147,16 +151,17 @@ size_t RbfLayer::ForwardInto(const Matrix& z, Matrix& phi, const Parallelism& pa
     centroid_sq_norms_[c] = ops.sqnorm(centroids_.value.Row(c), d);
   }
   double inv = 1.0 / (2.0 * gamma_ * gamma_);
-  ParallelFor(par.pool, z.rows(), /*grain=*/8, par.max_ways, [&](size_t r0, size_t r1) {
-    for (size_t n = r0; n < r1; ++n) {
-      double z_sq = ops.sqnorm(z.Row(n), d);
-      double* phirow = phi.Row(n);
-      for (size_t c = 0; c < k; ++c) {
-        double dist = std::max(0.0, z_sq + centroid_sq_norms_[c] - 2.0 * phirow[c]);
-        phirow[c] = std::exp(-dist * inv);
-      }
-    }
-  });
+  ParallelFor(par.pool, z.rows(), RowGrain(d + k * kExpMultiplyAdds), par.max_ways,
+              [&](size_t r0, size_t r1) {
+                for (size_t n = r0; n < r1; ++n) {
+                  double z_sq = ops.sqnorm(z.Row(n), d);
+                  double* phirow = phi.Row(n);
+                  for (size_t c = 0; c < k; ++c) {
+                    double dist = std::max(0.0, z_sq + centroid_sq_norms_[c] - 2.0 * phirow[c]);
+                    phirow[c] = std::exp(-dist * inv);
+                  }
+                }
+              });
   return grew;
 }
 
@@ -175,22 +180,32 @@ size_t RbfLayer::BackwardInto(const Matrix& dphi, Matrix* dz, bool accumulate,
     grew = dz->Reshape(z.rows(), d) ? 1 : 0;
     dz->Fill(0.0);
   }
-  double inv = 1.0 / (gamma_ * gamma_);
-  for (size_t n = 0; n < z.rows(); ++n) {
-    const double* zrow = z.Row(n);
-    double* dzrow = dz != nullptr ? dz->Row(n) : nullptr;
-    for (size_t c = 0; c < k; ++c) {
-      double scale = dphi.At(n, c) * phi.At(n, c) * inv;
-      if (scale == 0.0) {
-        continue;
+  const double inv = 1.0 / (gamma_ * gamma_);
+  // Each dz row takes its updates in centroid order and each centroid
+  // gradient row in batch order, exactly as in one combined (n, c) loop, so
+  // a pass split by batch row and a pass split by centroid give its bits.
+  if (dz != nullptr) {
+    ParallelFor(par.pool, z.rows(), RowGrain(k * d), par.max_ways, [&](size_t n0, size_t n1) {
+      for (size_t n = n0; n < n1; ++n) {
+        for (size_t c = 0; c < k; ++c) {
+          double scale = dphi.At(n, c) * phi.At(n, c) * inv;
+          if (scale != 0.0) {  // dz += scale * (c - z)
+            ops.axpy_diff(scale, centroids_.value.Row(c), z.Row(n), dz->Row(n), d);
+          }
+        }
       }
-      const double* crow = centroids_.value.Row(c);
-      if (dzrow != nullptr) {
-        ops.axpy_diff(scale, crow, zrow, dzrow, d);  // dz += scale * (c - z)
-      }
-      ops.axpy_diff(scale, zrow, crow, centroids_.grad.Row(c), d);  // dc += scale * (z - c)
-    }
+    });
   }
+  ParallelFor(par.pool, k, RowGrain(z.rows() * d), par.max_ways, [&](size_t c0, size_t c1) {
+    for (size_t c = c0; c < c1; ++c) {
+      for (size_t n = 0; n < z.rows(); ++n) {
+        double scale = dphi.At(n, c) * phi.At(n, c) * inv;
+        if (scale != 0.0) {  // dc += scale * (z - c)
+          ops.axpy_diff(scale, z.Row(n), centroids_.value.Row(c), centroids_.grad.Row(c), d);
+        }
+      }
+    }
+  });
   return grew;
 }
 
@@ -226,25 +241,32 @@ double RbfLayer::AccumulateChamferGradient(double weight, const Parallelism& par
   // exactly, so (c - z)^2 and (z - c)^2 are bitwise equal and term 2 reads
   // the entries term 1 reads; the argmins and the loss are those of two
   // separate distance passes.
+  //
+  // Term 1: every centroid is pulled toward its nearest batch point. Each
+  // centroid fills its own table row and gradient row, so centroids split
+  // over the pool; their loss shares are summed serially afterwards, in
+  // centroid order, and term 2 runs after every term-1 update as before.
   chamfer_dist_.Reshape(k, n);
-  for (size_t ci = 0; ci < k; ++ci) {
-    ops.sqdist_rows(c.Row(ci), z.Row(0), d, d, chamfer_dist_.Row(ci), n);
-  }
-
-  // Term 1: every centroid is pulled toward its nearest batch point.
-  for (size_t ci = 0; ci < k; ++ci) {
-    const double* dist = chamfer_dist_.Row(ci);
-    size_t best = 0;
-    double best_dist = std::numeric_limits<double>::max();
-    for (size_t ni = 0; ni < n; ++ni) {
-      if (dist[ni] < best_dist) {
-        best_dist = dist[ni];
-        best = ni;
+  chamfer_best_.resize(k);
+  const double term1_scale = weight * 2.0 / static_cast<double>(k);
+  ParallelFor(par.pool, k, RowGrain(n * d), par.max_ways, [&](size_t c0, size_t c1) {
+    for (size_t ci = c0; ci < c1; ++ci) {
+      double* dist = chamfer_dist_.Row(ci);
+      ops.sqdist_rows(c.Row(ci), z.Row(0), d, d, dist, n);
+      size_t best = 0;
+      double best_dist = std::numeric_limits<double>::max();
+      for (size_t ni = 0; ni < n; ++ni) {
+        if (dist[ni] < best_dist) {
+          best_dist = dist[ni];
+          best = ni;
+        }
       }
+      chamfer_best_[ci] = best_dist;
+      ops.axpy_diff(term1_scale, c.Row(ci), z.Row(best), centroids_.grad.Row(ci), d);
     }
-    loss += best_dist / static_cast<double>(k);
-    double scale = weight * 2.0 / static_cast<double>(k);
-    ops.axpy_diff(scale, c.Row(ci), z.Row(best), centroids_.grad.Row(ci), d);
+  });
+  for (size_t ci = 0; ci < k; ++ci) {
+    loss += chamfer_best_[ci] / static_cast<double>(k);
   }
   // Term 2: every batch point pulls its nearest centroid toward itself.
   for (size_t ni = 0; ni < n; ++ni) {

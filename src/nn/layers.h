@@ -141,6 +141,7 @@ class RbfLayer {
   Matrix phi_copy_;
   std::vector<double> centroid_sq_norms_;  // Forward scratch.
   Matrix chamfer_dist_;                    // Chamfer scratch: K x N distances.
+  std::vector<double> chamfer_best_;       // Chamfer scratch: term-1 minima.
 };
 
 }  // namespace wayfinder

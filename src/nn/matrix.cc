@@ -55,13 +55,6 @@ Matrix Matrix::FromRow(const std::vector<double>& row) {
 
 namespace {
 
-// Picks a row grain so one chunk carries at least ~32k flops; below that the
-// pool handoff costs more than it buys.
-size_t RowGrain(size_t flops_per_row) {
-  constexpr size_t kMinFlopsPerChunk = 32 * 1024;
-  return std::max<size_t>(1, kMinFlopsPerChunk / std::max<size_t>(1, flops_per_row));
-}
-
 // Shared inner loop of MatMulInto / MatMulAddBiasInto over rows [r0, r1):
 // one fused gemm_row kernel call per output row (4x k-unrolled inside, bias
 // init fused, b rows streamed) on the dispatched backend.
@@ -122,21 +115,26 @@ size_t MatMulAtInto(const Matrix& a, const Matrix& b, Matrix& out) {
   return grew;
 }
 
-void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, const KernelOps* ops) {
+void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, const Parallelism& par) {
   assert(a.rows() == b.rows());
   assert(acc.rows() == a.cols() && acc.cols() == b.cols());
   // One kernel call per gradient row i: acc[i] += sum over k of a[k][i] *
   // b[k], k ascending, zero a[k][i] skipped — per element the same sums as
-  // one axpy per (k, i), but each row of acc is read and written once.
+  // one axpy per (k, i), but each row of acc is read and written once. Rows
+  // are independent, so they split over the pool without changing a bit.
   if (a.rows() == 0) {
     return;
   }
-  const KernelOps& k_ops = Ops(ops);
+  const KernelOps& ops = Ops(par);
   const double* a_base = a.data().data();
   const double* b_base = b.data().data();
-  for (size_t i = 0; i < a.cols(); ++i) {
-    k_ops.axpy_rows(a_base + i, a.cols(), b_base, b.cols(), a.rows(), acc.Row(i), b.cols());
-  }
+  ParallelFor(par.pool, a.cols(), RowGrain(a.rows() * b.cols()), par.max_ways,
+              [&](size_t i0, size_t i1) {
+                for (size_t i = i0; i < i1; ++i) {
+                  ops.axpy_rows(a_base + i, a.cols(), b_base, b.cols(), a.rows(), acc.Row(i),
+                                b.cols());
+                }
+              });
 }
 
 void ColSumAccum(const Matrix& m, Matrix& acc, const KernelOps* ops) {

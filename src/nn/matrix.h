@@ -76,6 +76,17 @@ struct Parallelism {
   const KernelOps* kernels = nullptr;  // nullptr = DefaultKernels().
 };
 
+// Fork-join break-even: the smallest chunk that still pays for a ParallelFor
+// round at 2 and at 4 ways (docs/perf.md, "Fork-join cost"). Work is counted
+// in multiply-adds; a copied double counts as one.
+constexpr size_t kMinFlopsPerChunk = 8 * 1024;
+
+// Items per chunk so that one chunk carries at least kMinFlopsPerChunk.
+inline size_t RowGrain(size_t flops_per_row) {
+  size_t grain = kMinFlopsPerChunk / (flops_per_row > 0 ? flops_per_row : 1);
+  return grain > 0 ? grain : 1;
+}
+
 // --- fast kernels (write into `out`, reshaping it as needed) ---------------
 // Each returns the number of buffer growths `out` needed (0 after warmup).
 
@@ -89,8 +100,8 @@ size_t MatMulBtInto(const Matrix& a, const Matrix& b, Matrix& out, const Paralle
 // out = a^T * b            (a: KxN, b: KxM)
 size_t MatMulAtInto(const Matrix& a, const Matrix& b, Matrix& out);
 // acc += a^T * b — gradient accumulation without a temporary (acc: NxM).
-void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc,
-                   const KernelOps* ops = nullptr);
+// Rows of acc may split over `par`; each row keeps its serial sum.
+void MatMulAtAccum(const Matrix& a, const Matrix& b, Matrix& acc, const Parallelism& par = {});
 // acc += column-wise sums of m (acc: 1 x M).
 void ColSumAccum(const Matrix& m, Matrix& acc, const KernelOps* ops = nullptr);
 

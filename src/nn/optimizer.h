@@ -1,9 +1,9 @@
 // Adam optimizer over parameter blocks.
 //
 // Step() runs on the dispatched kernel backend (src/nn/kernels.h) and can
-// split parameter blocks across the shared thread pool: the global-norm clip
-// factor is computed once up front and each block's update is serial per
-// block, so results are bit-identical for any thread count.
+// split the flattened element range of all blocks across a thread pool: the
+// global-norm clip factor is computed once up front and the update is
+// elementwise, so results are bit-identical for any thread count.
 #ifndef WAYFINDER_SRC_NN_OPTIMIZER_H_
 #define WAYFINDER_SRC_NN_OPTIMIZER_H_
 
@@ -27,7 +27,7 @@ class Adam {
   explicit Adam(std::vector<ParamBlock*> params, const AdamOptions& options = {});
 
   // Applies one update from the accumulated gradients, then zeroes them.
-  // `par` spreads per-block updates over the pool; any value of
+  // `par` spreads the elements of all blocks over the pool; any value of
   // `par.max_ways` gives bit-identical results.
   void Step(const Parallelism& par = {});
 
@@ -43,6 +43,7 @@ class Adam {
   AdamOptions options_;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;
+  std::vector<size_t> offsets_;  // Block p spans [offsets_[p], offsets_[p + 1]).
   size_t step_ = 0;
 };
 

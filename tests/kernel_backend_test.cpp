@@ -277,6 +277,75 @@ TEST_P(KernelBackendPrimitives, AdamFlushesAgedMoments) {
   }
 }
 
+// The general Adam path, always dividing by bias1: the expression tree every
+// backend's adam_update evaluates, written without the bias1 == 1 shortcut.
+void RefAdamAlwaysDivides(double* value, double* grad, double* m, double* v, size_t n,
+                          const AdamScalars& k) {
+  for (size_t i = 0; i < n; ++i) {
+    double mi = k.beta1 * m[i] + (1.0 - k.beta1) * grad[i];
+    double vi = k.beta2 * v[i] + (1.0 - k.beta2) * grad[i] * grad[i];
+    if (std::fabs(mi) < kAdamMomentFloor) {
+      mi = 0.0;
+    }
+    if (vi < kAdamMomentFloor) {
+      vi = 0.0;
+    }
+    m[i] = mi;
+    v[i] = vi;
+    double update = (mi / k.bias1) / (std::sqrt(vi / k.bias2) + k.epsilon);
+    if (k.weight_decay > 0.0) {
+      update += k.weight_decay * value[i];
+    }
+    value[i] -= k.learning_rate * update;
+    grad[i] = 0.0;
+  }
+}
+
+// Once 1 - beta1^t rounds to 1.0 the kernels skip m / bias1. x / 1.0 == x
+// for every x, so the shortcut must match the dividing path bit for bit —
+// signed zeros, infinities, NaN and moments on either side of the floor.
+TEST(KernelBackend, AdamUnitBias1ShortcutMatchesDividingPathBitwise) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  AdamScalars scalars;
+  scalars.bias1 = 1.0 - std::pow(scalars.beta1, 400.0);
+  ASSERT_EQ(scalars.bias1, 1.0);
+  scalars.bias2 = 1.0 - std::pow(scalars.beta2, 400.0);
+  scalars.weight_decay = 1e-5;
+  const double m_edge = kAdamMomentFloor / scalars.beta1;
+  const std::vector<double> m_cases = {0.0,          -0.0,   inf,         -inf,  nan,
+                                       m_edge * (1 + 1e-9), -m_edge * (1 - 1e-9),
+                                       1e-310,       0.25,   -3.5};
+  const std::vector<double> v_cases = {0.0, -0.0, inf, nan, kAdamMomentFloor / scalars.beta2,
+                                       1e-310, 0.5};
+  const std::vector<double> g_cases = {0.0, -0.0, 0.3, -1e-300, inf, nan};
+  std::vector<double> m0, v0, g0;
+  for (double m : m_cases) {
+    for (double v : v_cases) {
+      for (double g : g_cases) {
+        m0.push_back(m);
+        v0.push_back(v);
+        g0.push_back(g);
+      }
+    }
+  }
+  Rng rng(83);
+  const std::vector<double> w0 = RandomArray(rng, m0.size());
+  std::vector<double> wr = w0, gr = g0, mr = m0, vr = v0;
+  RefAdamAlwaysDivides(wr.data(), gr.data(), mr.data(), vr.data(), m0.size(), scalars);
+  for (KernelBackend backend : {KernelBackend::kPortable, KernelBackend::kAvx2}) {
+    const KernelOps& ops = KernelsFor(backend);
+    std::vector<double> w = w0, g = g0, m = m0, v = v0;
+    ops.adam_update(w.data(), g.data(), m.data(), v.data(), m0.size(), scalars);
+    for (size_t i = 0; i < m0.size(); ++i) {
+      ASSERT_EQ(Bits(w[i]), Bits(wr[i])) << ops.name << " value i=" << i;
+      ASSERT_EQ(Bits(g[i]), Bits(gr[i])) << ops.name << " grad i=" << i;
+      ASSERT_EQ(Bits(m[i]), Bits(mr[i])) << ops.name << " m i=" << i;
+      ASSERT_EQ(Bits(v[i]), Bits(vr[i])) << ops.name << " v i=" << i;
+    }
+  }
+}
+
 // --- row-blocked kernels against the per-call loops they replace ----------
 //
 // Each reference below is the scalar loop of one-output kernel calls that the
@@ -492,8 +561,8 @@ TEST_P(KernelBackendMatrix, MatchAcrossBackends) {
 
         Matrix c = RandomMatrix(rng, n, m);
         Matrix acc_p(k, m, 0.25), acc_s(k, m, 0.25);
-        MatMulAtAccum(a, c, acc_p, portable.kernels);
-        MatMulAtAccum(a, c, acc_s, simd.kernels);
+        MatMulAtAccum(a, c, acc_p, portable);
+        MatMulAtAccum(a, c, acc_s, simd);
         for (size_t i = 0; i < acc_p.size(); ++i) {
           EXPECT_EQ(acc_p.data()[i], acc_s.data()[i]);
         }
@@ -593,6 +662,7 @@ TEST(KernelBackend, DtmTrainingUnchangedByBackend) {
 // And identical weights at any thread count (full Update, not just inference).
 TEST(KernelBackend, DtmTrainingBitIdenticalWhenThreaded) {
   DtmOptions serial_options;
+  serial_options.threads = 0;  // The default is the shared pool's width.
   DtmOptions threaded_options;
   threaded_options.threads = 4;
   DeepTuneModel serial(27, serial_options);
@@ -648,11 +718,12 @@ uint64_t AgedTrunkWeightFnv(KernelBackend backend, size_t threads) {
 
 // Long-horizon weight pin past the subnormal onset: the hash was captured
 // before the Adam kernels gained their moment floor, so it proves the
-// flush never changes a weight, on any backend and at any thread count.
+// flush never changes a weight, on any backend and at any thread count
+// (2 and 4 ways split the flattened Adam range at different edges).
 TEST(KernelBackend, AgedTrunkWeightsPinnedPastSubnormalOnset) {
   constexpr uint64_t kPinnedWeightFnv = 0xcbd1f2aeea0cb34eULL;
   for (KernelBackend backend : {KernelBackend::kPortable, KernelBackend::kAvx2}) {
-    for (size_t threads : {size_t{0}, size_t{4}}) {
+    for (size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
       EXPECT_EQ(AgedTrunkWeightFnv(backend, threads), kPinnedWeightFnv)
           << KernelsFor(backend).name << " threads=" << threads;
     }

@@ -249,6 +249,7 @@ TEST(MultiDtmTest, NoAllocationAfterWarmup) {
 TEST(MultiDtmTest, ThreadedTrainingBitIdenticalToSerial) {
   DtmOptions serial_options;
   serial_options.seed = 17;
+  serial_options.threads = 0;  // The default is the shared pool's width.
   DtmOptions threaded_options;
   threaded_options.seed = 17;
   threaded_options.threads = 4;

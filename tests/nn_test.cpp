@@ -318,6 +318,119 @@ TEST(ChamferTest, SharedTableMatchesTwoPassReferenceBitwise) {
   }
 }
 
+// --- threaded splits: bit-identical to serial at 2, 3 and 4 ways ---------
+
+// The flattened Adam range splits in groups of 4 elements across block
+// edges: with blocks of 1, 3, 5 and 263 x 64 elements, chunk edges fall in
+// the middle of blocks and off each block's own vector boundaries.
+TEST(ThreadedSplitTest, AdamFlattenedRangeBitIdenticalToSerial) {
+  const size_t shapes[][2] = {{1, 1}, {1, 3}, {5, 1}, {263, 64}};
+  for (size_t ways : {2u, 3u, 4u}) {
+    ThreadPool pool(ways - 1);
+    Rng rng(31);
+    std::vector<ParamBlock> serial_blocks(4), threaded_blocks(4);
+    for (size_t b = 0; b < 4; ++b) {
+      serial_blocks[b].value.Resize(shapes[b][0], shapes[b][1]);
+      serial_blocks[b].grad.Resize(shapes[b][0], shapes[b][1]);
+      for (double& v : serial_blocks[b].value.data()) {
+        v = rng.Normal();
+      }
+      threaded_blocks[b].value = serial_blocks[b].value;
+      threaded_blocks[b].grad = serial_blocks[b].grad;
+    }
+    std::vector<ParamBlock*> serial_ptrs, threaded_ptrs;
+    for (size_t b = 0; b < 4; ++b) {
+      serial_ptrs.push_back(&serial_blocks[b]);
+      threaded_ptrs.push_back(&threaded_blocks[b]);
+    }
+    AdamOptions options;
+    options.weight_decay = 1e-5;
+    options.grad_clip = 50.0;  // Some steps clip, some do not.
+    Adam serial(serial_ptrs, options), threaded(threaded_ptrs, options);
+    for (int step = 0; step < 400; ++step) {  // Past bias1 rounding to 1.0.
+      double scale = step % 3 == 0 ? 2.0 : 0.01;
+      for (size_t b = 0; b < 4; ++b) {
+        for (size_t i = 0; i < serial_blocks[b].grad.size(); ++i) {
+          double g = (step % 7 == 0 && i % 5 == 0) ? 0.0 : rng.Normal() * scale;
+          serial_blocks[b].grad.data()[i] = g;
+          threaded_blocks[b].grad.data()[i] = g;
+        }
+      }
+      serial.Step();
+      threaded.Step(Parallelism{&pool, ways, nullptr});
+    }
+    for (size_t b = 0; b < 4; ++b) {
+      for (size_t i = 0; i < serial_blocks[b].value.size(); ++i) {
+        ASSERT_EQ(DoubleBits(serial_blocks[b].value.data()[i]),
+                  DoubleBits(threaded_blocks[b].value.data()[i]))
+            << "ways " << ways << " block " << b << " element " << i;
+        ASSERT_EQ(threaded_blocks[b].grad.data()[i], 0.0);
+      }
+    }
+  }
+}
+
+// dW += X^T dY split by gradient row, with all-zero coefficient rows (the
+// skipped-zero path, -0.0 included) and a -0.0 accumulator.
+TEST(ThreadedSplitTest, MatMulAtAccumBitIdenticalToSerial) {
+  Rng rng(37);
+  Matrix a(32, 263), b(32, 64);
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t c = 0; c < a.cols(); ++c) {
+      a.At(r, c) = c % 3 == 0 ? (r % 2 == 0 ? 0.0 : -0.0) : rng.Normal();
+    }
+  }
+  for (double& v : b.data()) {
+    v = rng.Normal();
+  }
+  Matrix init(263, 64);
+  for (size_t i = 0; i < init.size(); ++i) {
+    init.data()[i] = i % 11 == 0 ? -0.0 : rng.Normal();
+  }
+  Matrix serial = init;
+  MatMulAtAccum(a, b, serial);
+  for (size_t ways : {2u, 3u, 4u}) {
+    ThreadPool pool(ways - 1);
+    Matrix threaded = init;
+    MatMulAtAccum(a, b, threaded, Parallelism{&pool, ways, nullptr});
+    for (size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(DoubleBits(serial.data()[i]), DoubleBits(threaded.data()[i]))
+          << "ways " << ways << " element " << i;
+    }
+  }
+}
+
+// The Chamfer pass split by centroid: same gradient and loss bits.
+TEST(ThreadedSplitTest, ChamferGradientBitIdenticalToSerial) {
+  const size_t dim = 263, centroids = 12, batch = 32;
+  Rng data_rng(41);
+  Matrix z(batch, dim);
+  for (double& v : z.data()) {
+    v = data_rng.Normal();
+  }
+  auto run = [&](const Parallelism& par, Matrix* grad) {
+    Rng rng(43);
+    RbfLayer rbf(dim, centroids, 0.7 * std::sqrt(static_cast<double>(dim)), rng);
+    Matrix phi;
+    rbf.ForwardInto(z, phi, par);
+    double loss = rbf.AccumulateChamferGradient(0.05, par);
+    *grad = rbf.centroids().grad;
+    return loss;
+  };
+  Matrix serial_grad;
+  const double serial_loss = run(Parallelism{}, &serial_grad);
+  for (size_t ways : {2u, 3u, 4u}) {
+    ThreadPool pool(ways - 1);
+    Matrix grad;
+    const double loss = run(Parallelism{&pool, ways, nullptr}, &grad);
+    EXPECT_EQ(DoubleBits(loss), DoubleBits(serial_loss)) << "ways " << ways;
+    for (size_t i = 0; i < grad.size(); ++i) {
+      ASSERT_EQ(DoubleBits(grad.data()[i]), DoubleBits(serial_grad.data()[i]))
+          << "ways " << ways << " element " << i;
+    }
+  }
+}
+
 TEST(DropoutTest, IdentityWhenEvaluating) {
   DropoutLayer dropout(0.5);
   Rng rng(23);
@@ -527,6 +640,7 @@ TEST(DtmEquivalence, FastPredictBatchMatchesNaiveReference) {
 TEST(DtmEquivalence, ThreadedPredictBatchBitIdenticalToSerial) {
   const size_t dim = 29;
   DtmOptions serial_options;
+  serial_options.threads = 0;  // The default is the shared pool's width.
   DtmOptions threaded_options;
   threaded_options.threads = 4;
   DeepTuneModel serial(dim, serial_options);

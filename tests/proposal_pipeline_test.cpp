@@ -128,7 +128,7 @@ TEST(ProposalPipeline, SixtyIterationTrajectoryInvariantAcrossBackendsAndThreads
   SessionResult baseline = RunDeepTune(KernelBackend::kPortable, 0);
   ASSERT_EQ(baseline.history.size(), 60u);
   for (KernelBackend backend : BackendsUnderTest()) {
-    for (size_t threads : {0u, 1u, 4u}) {
+    for (size_t threads : {0u, 1u, 2u, 4u}) {
       if (backend == KernelBackend::kPortable && threads == 0) {
         continue;  // The baseline itself.
       }

@@ -1,10 +1,17 @@
 // Tests for the shared thread pool: ParallelFor correctness and chunking,
-// exception propagation, shutdown, and bit-determinism of threaded kernels.
+// exception propagation, shutdown, back-to-back round reuse, concurrent
+// callers, blocking (not spinning) waits, affinity-based sizing, and
+// bit-determinism of threaded kernels.
 #include <gtest/gtest.h>
+#include <sched.h>
+#include <time.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/nn/matrix.h"
@@ -68,14 +75,23 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
 }
 
 TEST(ThreadPoolTest, CallerChunkExceptionPropagatesToo) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.ParallelFor(100, 1, 3,
-                                [&](size_t b, size_t) {
-                                  if (b == 0) {  // Chunk 0 runs on the caller.
+  // The caller claims chunks like any worker. A worker chunk waits until the
+  // caller has run one, so the caller always gets a chunk, and it throws.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  EXPECT_THROW(pool.ParallelFor(2, 1, 2,
+                                [&](size_t, size_t) {
+                                  if (std::this_thread::get_id() == caller) {
+                                    caller_ran = true;
                                     throw std::runtime_error("caller chunk failed");
+                                  }
+                                  while (!caller_ran) {
+                                    std::this_thread::yield();
                                   }
                                 }),
                std::runtime_error);
+  EXPECT_TRUE(caller_ran.load());
 }
 
 TEST(ThreadPoolTest, ShutdownDrainsQueuedWork) {
@@ -141,6 +157,136 @@ TEST(ThreadPoolTest, NestedParallelForPropagatesExceptions) {
 TEST(ThreadPoolTest, SharedPoolIsSingleton) {
   EXPECT_EQ(&ThreadPool::Shared(), &ThreadPool::Shared());
   EXPECT_GE(ThreadPool::Shared().thread_count(), 1u);
+}
+
+TEST(ThreadPoolTest, SharedWidthIsUsableCpusCapped) {
+  size_t width = ThreadPool::SharedWidth();
+  EXPECT_GE(width, 1u);
+  EXPECT_LE(width, ThreadPool::kMaxKernelWays);
+  EXPECT_EQ(width, std::min(UsableCpuCount(), ThreadPool::kMaxKernelWays));
+}
+
+TEST(ThreadPoolTest, UsableCpuCountFollowsTheAffinityMask) {
+  // hardware_concurrency() counts every CPU of the host; a process pinned
+  // with taskset may run on fewer. Pin this thread to one CPU of its mask,
+  // check the count, and restore the mask.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(UsableCpuCount(), static_cast<size_t>(CPU_COUNT(&saved)));
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) {
+    ++first;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  size_t pinned = UsableCpuCount();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(UsableCpuCount(), static_cast<size_t>(CPU_COUNT(&saved)));
+}
+
+TEST(ThreadPoolTest, BackToBackRoundsCoverEveryIndexExactlyOnce) {
+  // Rounds reuse one slot. A worker that saw round r must never claim or
+  // run a chunk against round r + 1's fields, whatever the shapes.
+  ThreadPool pool(3);
+  std::vector<int> hits(97);
+  for (size_t round = 0; round < 12000; ++round) {
+    size_t n = 1 + (round * 7919) % hits.size();
+    size_t grain = 1 + round % 5;
+    size_t max_ways = 1 + round % 6;
+    pool.ParallelFor(n, grain, max_ways, [&](size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i) {
+        ++hits[i];  // Chunks are disjoint, so plain writes are race-free.
+      }
+    });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i], i < n ? 1 : 0) << "round " << round << " index " << i;
+      hits[i] = 0;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, SecondCallerRunsInlineWhileARoundIsInFlight) {
+  ThreadPool pool(2);
+  std::atomic<bool> first_started{false};
+  std::atomic<bool> second_done{false};
+  std::vector<std::atomic<int>> first_hits(64);
+  std::thread first([&] {
+    pool.ParallelFor(first_hits.size(), 1, 3, [&](size_t b, size_t e) {
+      first_started = true;
+      while (!second_done) {
+        std::this_thread::yield();
+      }
+      for (size_t i = b; i < e; ++i) {
+        first_hits[i].fetch_add(1);
+      }
+    });
+  });
+  while (!first_started) {
+    std::this_thread::yield();
+  }
+  // The slot is taken, so this round runs entirely on the calling thread.
+  const std::thread::id me = std::this_thread::get_id();
+  std::vector<int> second_hits(64);
+  bool all_inline = true;
+  pool.ParallelFor(second_hits.size(), 1, 3, [&](size_t b, size_t e) {
+    all_inline = all_inline && std::this_thread::get_id() == me;
+    for (size_t i = b; i < e; ++i) {
+      ++second_hits[i];
+    }
+  });
+  second_done = true;
+  first.join();
+  EXPECT_TRUE(all_inline);
+  for (size_t i = 0; i < second_hits.size(); ++i) {
+    EXPECT_EQ(second_hits[i], 1);
+    EXPECT_EQ(first_hits[i].load(), 1);
+  }
+}
+
+double ThreadCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+TEST(ThreadPoolTest, CallerBlocksRatherThanSpinsOnALongChunk) {
+  // session.cc runs whole trial evaluations as chunks, so a caller may wait
+  // for minutes: after a brief spin it must block, not burn its CPU.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> worker_ran{false};
+  double cpu_before = ThreadCpuMs();
+  pool.ParallelFor(2, 1, 2, [&](size_t, size_t) {
+    if (std::this_thread::get_id() != caller) {
+      worker_ran = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return;
+    }
+    // The caller's chunk sleeps until the worker holds the other one, so
+    // the caller then has to wait for it.
+    for (int i = 0; i < 2000 && !worker_ran; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  double cpu_ms = ThreadCpuMs() - cpu_before;
+  EXPECT_TRUE(worker_ran.load());
+  EXPECT_LT(cpu_ms, 5.0);
+}
+
+TEST(ThreadPoolTest, DestroyWithParkedWorkersJoins) {
+  for (int round = 0; round < 3; ++round) {
+    ThreadPool pool(3);
+    std::atomic<size_t> covered{0};
+    pool.ParallelFor(64, 1, 4, [&](size_t b, size_t e) { covered += e - b; });
+    EXPECT_EQ(covered.load(), 64u);
+    // Long enough for every worker to exhaust its spin and park.
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }
+  ThreadPool never_used(2);  // Parked from the start; must join too.
 }
 
 TEST(ThreadPoolTest, ThreadedMatMulBitIdenticalToSerial) {
