@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -226,8 +227,18 @@ void ExpectSameStatus(const SessionStatus& a, const SessionStatus& b) {
   }
   EXPECT_EQ(a.sim_seconds, b.sim_seconds);
   EXPECT_EQ(a.warm_started, b.warm_started);
+  EXPECT_EQ(a.build_failed, b.build_failed);
+  EXPECT_EQ(a.boot_failed, b.boot_failed);
+  EXPECT_EQ(a.run_crashed, b.run_crashed);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.drift_events, b.drift_events);
   EXPECT_EQ(a.recovered, b.recovered);
   EXPECT_EQ(a.version, b.version);
+  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
+  EXPECT_EQ(a.wave_p50_ms, b.wave_p50_ms);
+  EXPECT_EQ(a.wave_p99_ms, b.wave_p99_ms);
+  EXPECT_EQ(a.trials_per_sec, b.trials_per_sec);
   EXPECT_EQ(a.store_key, b.store_key);
   EXPECT_EQ(a.error, b.error);
 }
@@ -245,7 +256,10 @@ void ExpectSameResponse(const ServiceResponse& a, const ServiceResponse& b) {
   }
 }
 
-SessionStatus MakeStatus(const char* id, bool has_best, const char* error_text) {
+// `full` sets every one of SessionStatus's fields to a non-default value;
+// otherwise every field with a presence rule keeps its default (absent on
+// the wire), so the two shapes exercise both sides of every rule.
+SessionStatus MakeStatus(const char* id, bool full, const char* error_text) {
   SessionStatus status;
   status.id = id;
   status.name = "warm-run";
@@ -253,14 +267,26 @@ SessionStatus MakeStatus(const char* id, bool has_best, const char* error_text) 
   status.state = "running";
   status.trials = 37;
   status.iterations = 250;
-  status.has_best = has_best;
-  status.best = has_best ? 1234.0625 : 0.0;
   status.sim_seconds = 8871.5;
   status.warm_started = 12;
-  status.recovered = has_best;  // Exercise both presence states.
-  status.version = has_best ? 41u : 0u;
   status.store_key = "nginx-00ffaa11";
   status.error = error_text;
+  if (full) {
+    status.has_best = true;
+    status.best = 1234.0625;
+    status.build_failed = 3;
+    status.boot_failed = 2;
+    status.run_crashed = 5;
+    status.timeouts = 4;
+    status.retries = 6;
+    status.drift_events = 1;
+    status.recovered = true;
+    status.version = 41;
+    status.memory_bytes = 1u << 20;
+    status.wave_p50_ms = 12.5;
+    status.wave_p99_ms = 40.25;
+    status.trials_per_sec = 0.1;  // Pins %.17g: not exactly representable.
+  }
   return status;
 }
 
@@ -389,6 +415,185 @@ TEST(BinaryCodec, ValidationMatchesYaml) {
   EXPECT_NE(error.find("requires an id"), std::string::npos);
 }
 
+// ---------------------------------------------------------------------------
+// Golden wire bytes: the exact YAML text and TLV bytes of representative
+// messages, written out by hand. They are the independent check on both
+// codecs — key order, tag numbers, presence rules, quoting and number
+// formatting — so they must never be regenerated from the codecs.
+
+// Hand-spelled TLV pieces: [tag u8][len u32 big-endian][value].
+std::string Tlv(unsigned char tag, const std::string& value) {
+  std::string out(1, static_cast<char>(tag));
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out.push_back(static_cast<char>(value.size() >> shift));
+  }
+  return out + value;
+}
+
+std::string U64(uint64_t value) {
+  std::string out;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    out.push_back(static_cast<char>(value >> shift));
+  }
+  return out;
+}
+
+std::string F64(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return U64(bits);
+}
+
+std::string Byte(unsigned char value) { return std::string(1, static_cast<char>(value)); }
+
+TEST(WireGolden, MinimalRequest) {
+  ServiceRequest request;
+  request.command = "ping";
+  EXPECT_EQ(EncodeRequest(request), "command: \"ping\"\n");
+  const std::string tlv("\x01\x01\x00\x00\x00\x04ping", 10);
+  EXPECT_EQ(EncodeRequestBinary(request), tlv);
+  ServiceRequest decoded;
+  std::string error;
+  ASSERT_TRUE(DecodeRequestBinary(tlv, &decoded, &error)) << error;
+  EXPECT_EQ(decoded.command, "ping");
+  EXPECT_TRUE(decoded.id.empty());
+  EXPECT_TRUE(decoded.warm_start);
+  EXPECT_EQ(decoded.since_version, 0u);
+}
+
+TEST(WireGolden, MaximalRequest) {
+  ServiceRequest request;
+  request.command = "watch";
+  request.id = "s12";
+  request.warm_start = false;
+  request.since_version = 77;
+  const std::string yaml =
+      "command: \"watch\"\n"
+      "id: \"s12\"\n"
+      "warm_start: false\n"
+      "since_version: 77\n";
+  EXPECT_EQ(EncodeRequest(request), yaml);
+  const std::string tlv = Byte(0x01) + Tlv(1, "watch") + Tlv(2, "s12") +
+                          Tlv(3, Byte(0)) + Tlv(4, U64(77));
+  EXPECT_EQ(EncodeRequestBinary(request), tlv);
+  for (bool binary : {false, true}) {
+    ServiceRequest decoded;
+    std::string error;
+    ASSERT_TRUE(DecodeRequestWire(binary ? tlv : yaml, binary, &decoded, &error)) << error;
+    EXPECT_EQ(decoded.command, "watch");
+    EXPECT_EQ(decoded.id, "s12");
+    EXPECT_FALSE(decoded.warm_start);
+    EXPECT_EQ(decoded.since_version, 77u);
+  }
+}
+
+TEST(WireGolden, ErrorResponseQuoting) {
+  ServiceResponse response;
+  // The YAML quoter drops double quotes, CR and LF; TLV carries raw bytes.
+  response.error = "unknown \"session\": s9\r\n";
+  EXPECT_EQ(EncodeResponse(response),
+            "status: error\n"
+            "error: \"unknown session: s9\"\n");
+  EXPECT_EQ(EncodeResponseBinary(response),
+            Byte(0x02) + Tlv(1, Byte(0)) + Tlv(2, "unknown \"session\": s9\r\n"));
+}
+
+TEST(WireGolden, PayloadResponse) {
+  ServiceResponse response;
+  response.ok = true;
+  response.id = "s3";
+  response.state = "done";
+  response.note = "journal degraded: append failed";
+  response.has_payload = true;
+  const std::string yaml =
+      "status: ok\n"
+      "id: \"s3\"\n"
+      "state: \"done\"\n"
+      "note: \"journal degraded: append failed\"\n"
+      "payload: true\n";
+  EXPECT_EQ(EncodeResponse(response), yaml);
+  // Note (tag 7) rides before payload (tag 5): tags follow the field list,
+  // not numeric order.
+  const std::string tlv = Byte(0x02) + Tlv(1, Byte(1)) + Tlv(3, "s3") + Tlv(4, "done") +
+                          Tlv(7, "journal degraded: append failed") + Tlv(5, Byte(1));
+  EXPECT_EQ(EncodeResponseBinary(response), tlv);
+  for (bool binary : {false, true}) {
+    ServiceResponse decoded;
+    std::string error;
+    ASSERT_TRUE(DecodeResponseWire(binary ? tlv : yaml, binary, &decoded, &error)) << error;
+    ExpectSameResponse(response, decoded);
+  }
+}
+
+TEST(WireGolden, TwoSessionResponse) {
+  ServiceResponse response;
+  response.ok = true;
+  response.sessions.push_back(MakeStatus("s1", true, "boot crash"));
+  SessionStatus cold;  // Every field with a presence rule at its default.
+  cold.id = "s2";
+  cold.name = "cold";
+  cold.algorithm = "random";
+  cold.state = "submitted";
+  cold.iterations = 10;
+  response.sessions.push_back(cold);
+  const std::string yaml =
+      "status: ok\n"
+      "sessions:\n"
+      "  - id: \"s1\"\n"
+      "    name: \"warm-run\"\n"
+      "    algorithm: \"deeptune\"\n"
+      "    state: \"running\"\n"
+      "    trials: 37\n"
+      "    iterations: 250\n"
+      "    best: 1234.0625\n"
+      "    sim_seconds: 8871.5\n"
+      "    warm_started: 12\n"
+      "    build_failed: 3\n"
+      "    boot_failed: 2\n"
+      "    run_crashed: 5\n"
+      "    timeouts: 4\n"
+      "    retries: 6\n"
+      "    drift_events: 1\n"
+      "    recovered: true\n"
+      "    version: 41\n"
+      "    memory_bytes: 1048576\n"
+      "    wave_p50_ms: 12.5\n"
+      "    wave_p99_ms: 40.25\n"
+      "    trials_per_sec: 0.10000000000000001\n"
+      "    store_key: \"nginx-00ffaa11\"\n"
+      "    error: \"boot crash\"\n"
+      "  - id: \"s2\"\n"
+      "    name: \"cold\"\n"
+      "    algorithm: \"random\"\n"
+      "    state: \"submitted\"\n"
+      "    trials: 0\n"
+      "    iterations: 10\n"
+      "    sim_seconds: 0\n"
+      "    warm_started: 0\n";
+  EXPECT_EQ(EncodeResponse(response), yaml);
+  // store_key (10) and error (11) ride last, after tags 12-23.
+  const std::string full = Tlv(1, "s1") + Tlv(2, "warm-run") + Tlv(3, "deeptune") +
+                           Tlv(4, "running") + Tlv(5, U64(37)) + Tlv(6, U64(250)) +
+                           Tlv(7, F64(1234.0625)) + Tlv(8, F64(8871.5)) +
+                           Tlv(9, U64(12)) + Tlv(12, U64(3)) + Tlv(13, U64(2)) +
+                           Tlv(14, U64(5)) + Tlv(15, U64(4)) + Tlv(16, U64(6)) +
+                           Tlv(17, U64(1)) + Tlv(18, Byte(1)) + Tlv(19, U64(41)) +
+                           Tlv(20, U64(1048576)) + Tlv(21, F64(12.5)) +
+                           Tlv(22, F64(40.25)) + Tlv(23, F64(0.1)) +
+                           Tlv(10, "nginx-00ffaa11") + Tlv(11, "boot crash");
+  const std::string sparse = Tlv(1, "s2") + Tlv(2, "cold") + Tlv(3, "random") +
+                             Tlv(4, "submitted") + Tlv(5, U64(0)) + Tlv(6, U64(10)) +
+                             Tlv(8, F64(0.0)) + Tlv(9, U64(0));
+  const std::string tlv = Byte(0x02) + Tlv(1, Byte(1)) + Tlv(6, full) + Tlv(6, sparse);
+  EXPECT_EQ(EncodeResponseBinary(response), tlv);
+  for (bool binary : {false, true}) {
+    ServiceResponse decoded;
+    std::string error;
+    ASSERT_TRUE(DecodeResponseWire(binary ? tlv : yaml, binary, &decoded, &error)) << error;
+    ExpectSameResponse(response, decoded);
+  }
+}
+
 // Deterministic fuzz: truncations at EVERY byte length of valid messages,
 // plus pseudo-random garbage. The decoders may reject, never crash or read
 // out of bounds (ASan-pinned in CI).
@@ -411,6 +616,24 @@ TEST(BinaryCodec, SurvivesTruncationAndGarbage) {
   for (size_t n = 0; n < encoded_request.size(); ++n) {
     ServiceRequest decoded;
     DecodeRequestBinary(encoded_request.substr(0, n), &decoded, &error);
+  }
+  // The session block itself cut at every length inside an intact response
+  // field: each of the maximal status's tags hits the nested decoder's
+  // truncation path, and a cut on a field boundary is a valid (shorter)
+  // status.
+  const size_t block_at = 1 + 6 + 5;  // kind, ok field, session tag + length.
+  const std::string block = encoded_response.substr(block_at);
+  for (size_t n = 0; n < block.size(); ++n) {
+    std::string framed = encoded_response.substr(0, 7);
+    framed += '\x06';
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      framed.push_back(static_cast<char>(n >> shift));
+    }
+    framed += block.substr(0, n);
+    ServiceResponse decoded;
+    if (!DecodeResponseBinary(framed, &decoded, &error)) {
+      EXPECT_EQ(error, "truncated session field") << n;
+    }
   }
 
   // xorshift garbage, fixed seed: reproducible, and length-prefix fields
