@@ -203,11 +203,12 @@ size_t ConfigSpace::ApplyConstraints(Configuration* config) const {
   // "select" raises a symbol to at least the selector's level and overrides
   // the selected symbol's own dependencies), then disables non-selected
   // symbols whose dependency chain is broken.
+  // Select floor: select_floor[j] holds the strongest selector level seen.
+  // Allocated once per call and cleared per pass.
+  std::vector<int64_t> select_floor;
   for (int pass = 0; pass < 8; ++pass) {
     size_t pass_changed = 0;
-
-    // Select floor: selected[j] holds the strongest selector level seen.
-    std::vector<int64_t> select_floor(params_.size(), 0);
+    select_floor.assign(params_.size(), 0);
     for (size_t i = 0; i < params_.size(); ++i) {
       int64_t level = config->Raw(i);
       if (level == 0 || params_[i].selects.empty()) {

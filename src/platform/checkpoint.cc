@@ -30,29 +30,26 @@ void WriteCheckpoint(std::ostream& out, const std::vector<TrialRecord>& history,
   }
   // Aggregate failure taxonomy, derived from the trial statuses so readers
   // that ignore the line lose nothing; written only when any class fired.
-  size_t build_failed = 0, boot_failed = 0, run_crashed = 0, timeouts = 0;
+  FailureTaxonomy tally;
   for (const TrialRecord& trial : history) {
-    switch (trial.outcome.status) {
-      case TrialOutcome::Status::kBuildFailed: ++build_failed; break;
-      case TrialOutcome::Status::kBootFailed: ++boot_failed; break;
-      case TrialOutcome::Status::kRunCrashed: ++run_crashed; break;
-      case TrialOutcome::Status::kTimeout: ++timeouts; break;
-      case TrialOutcome::Status::kOk: break;
-    }
+    tally.Count(trial.outcome.status);
   }
-  if (build_failed + boot_failed + run_crashed + timeouts > 0) {
+  if (tally.build_failed + tally.boot_failed + tally.run_crashed + tally.timeouts > 0) {
     out << "failures";
-    if (build_failed > 0) {
-      out << " " << TrialStatusName(TrialOutcome::Status::kBuildFailed) << " " << build_failed;
+    if (tally.build_failed > 0) {
+      out << " " << TrialStatusName(TrialOutcome::Status::kBuildFailed) << " "
+          << tally.build_failed;
     }
-    if (boot_failed > 0) {
-      out << " " << TrialStatusName(TrialOutcome::Status::kBootFailed) << " " << boot_failed;
+    if (tally.boot_failed > 0) {
+      out << " " << TrialStatusName(TrialOutcome::Status::kBootFailed) << " "
+          << tally.boot_failed;
     }
-    if (run_crashed > 0) {
-      out << " " << TrialStatusName(TrialOutcome::Status::kRunCrashed) << " " << run_crashed;
+    if (tally.run_crashed > 0) {
+      out << " " << TrialStatusName(TrialOutcome::Status::kRunCrashed) << " "
+          << tally.run_crashed;
     }
-    if (timeouts > 0) {
-      out << " " << TrialStatusName(TrialOutcome::Status::kTimeout) << " " << timeouts;
+    if (tally.timeouts > 0) {
+      out << " " << TrialStatusName(TrialOutcome::Status::kTimeout) << " " << tally.timeouts;
     }
     out << "\n";
   }

@@ -153,22 +153,7 @@ void SearchSession::CommitTrial(PendingTrial&& pending, double end_time,
   retries_ += pending.retries;
   if (!outcome.ok()) {
     ++crashes_;
-    switch (outcome.status) {
-      case TrialOutcome::Status::kBuildFailed:
-        ++build_failed_;
-        break;
-      case TrialOutcome::Status::kBootFailed:
-        ++boot_failed_;
-        break;
-      case TrialOutcome::Status::kRunCrashed:
-        ++run_crashed_;
-        break;
-      case TrialOutcome::Status::kTimeout:
-        ++timeouts_;
-        break;
-      case TrialOutcome::Status::kOk:
-        break;
-    }
+    failures_.Count(outcome.status);
   }
   history_.push_back(std::move(record));
 }
@@ -629,10 +614,10 @@ SessionResult SearchSession::Finish() {
   result.crashes = crashes_;
   result.builds = builds_;
   result.builds_skipped = builds_skipped_;
-  result.build_failures = build_failed_;
-  result.boot_failures = boot_failed_;
-  result.run_crashes = run_crashed_;
-  result.timeouts = timeouts_;
+  result.build_failures = failures_.build_failed;
+  result.boot_failures = failures_.boot_failed;
+  result.run_crashes = failures_.run_crashed;
+  result.timeouts = failures_.timeouts;
   result.transient_retries = retries_;
   result.drift_events = drift_events_;
   for (size_t i = 0; i < result.history.size(); ++i) {
@@ -656,22 +641,7 @@ void SearchSession::Resume(const std::vector<TrialRecord>& prior) {
     seen_hashes_.insert(trial.config.Hash());
     if (trial.crashed()) {
       ++crashes_;
-      switch (trial.outcome.status) {
-        case TrialOutcome::Status::kBuildFailed:
-          ++build_failed_;
-          break;
-        case TrialOutcome::Status::kBootFailed:
-          ++boot_failed_;
-          break;
-        case TrialOutcome::Status::kRunCrashed:
-          ++run_crashed_;
-          break;
-        case TrialOutcome::Status::kTimeout:
-          ++timeouts_;
-          break;
-        case TrialOutcome::Status::kOk:
-          break;
-      }
+      failures_.Count(trial.outcome.status);
     }
     // The build-skip cache warms from the last image that actually built —
     // mirroring CommitTrial exactly, so a resumed session's cache state

@@ -286,10 +286,7 @@ class SearchSession {
   size_t builds_skipped_ = 0;
   // Failure taxonomy + robustness policy counters (surfaced in
   // SessionResult and the daemon's session status).
-  size_t build_failed_ = 0;
-  size_t boot_failed_ = 0;
-  size_t run_crashed_ = 0;
-  size_t timeouts_ = 0;
+  FailureTaxonomy failures_;
   size_t retries_ = 0;
   size_t drift_events_ = 0;
   // Successful-trial count at the last drift event; the detector waits a

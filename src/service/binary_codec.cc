@@ -1,6 +1,11 @@
 #include "src/service/binary_codec.h"
 
+#include <bitset>
 #include <cstring>
+#include <type_traits>
+#include <utility>
+
+#include "src/service/wire_schema.h"
 
 namespace wayfinder {
 
@@ -10,85 +15,17 @@ namespace {
 constexpr unsigned char kKindRequest = 0x01;
 constexpr unsigned char kKindResponse = 0x02;
 
-// Request tags.
-constexpr unsigned char kReqCommand = 1;
-constexpr unsigned char kReqId = 2;
-constexpr unsigned char kReqWarmStart = 3;
-constexpr unsigned char kReqSinceVersion = 4;
-
-// Response tags.
-constexpr unsigned char kRespOk = 1;
-constexpr unsigned char kRespError = 2;
-constexpr unsigned char kRespId = 3;
-constexpr unsigned char kRespState = 4;
-constexpr unsigned char kRespPayload = 5;
-constexpr unsigned char kRespSession = 6;
-constexpr unsigned char kRespNote = 7;
-
-// Session tags (inside a kRespSession nested block).
-constexpr unsigned char kSessId = 1;
-constexpr unsigned char kSessName = 2;
-constexpr unsigned char kSessAlgorithm = 3;
-constexpr unsigned char kSessState = 4;
-constexpr unsigned char kSessTrials = 5;
-constexpr unsigned char kSessIterations = 6;
-constexpr unsigned char kSessBest = 7;
-constexpr unsigned char kSessSimSeconds = 8;
-constexpr unsigned char kSessWarmStarted = 9;
-constexpr unsigned char kSessStoreKey = 10;
-constexpr unsigned char kSessError = 11;
-// Failure taxonomy + robustness counters (absent-on-wire when zero, like
-// their YAML counterparts).
-constexpr unsigned char kSessBuildFailed = 12;
-constexpr unsigned char kSessBootFailed = 13;
-constexpr unsigned char kSessRunCrashed = 14;
-constexpr unsigned char kSessTimeouts = 15;
-constexpr unsigned char kSessRetries = 16;
-constexpr unsigned char kSessDriftEvents = 17;
-// Crash-recovery fields (PR 8), absent-on-wire when unset like the taxonomy.
-constexpr unsigned char kSessRecovered = 18;
-constexpr unsigned char kSessVersion = 19;
-// Observability gauges (src/obs/), absent-on-wire when zero — metrics-off
-// daemons encode byte-identically to the pre-obs protocol.
-constexpr unsigned char kSessMemoryBytes = 20;
-constexpr unsigned char kSessWaveP50Ms = 21;
-constexpr unsigned char kSessWaveP99Ms = 22;
-constexpr unsigned char kSessTrialsPerSec = 23;
-
-void PutU32(std::string* out, uint32_t value) {
-  char bytes[4] = {static_cast<char>(value >> 24), static_cast<char>(value >> 16),
-                   static_cast<char>(value >> 8), static_cast<char>(value)};
-  out->append(bytes, 4);
+void StoreU32(char* at, uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    at[i] = static_cast<char>(value >> (24 - 8 * i));
+  }
 }
 
 void PutField(std::string* out, unsigned char tag, const char* data, size_t n) {
-  out->push_back(static_cast<char>(tag));
-  PutU32(out, static_cast<uint32_t>(n));
+  char header[5] = {static_cast<char>(tag)};
+  StoreU32(header + 1, static_cast<uint32_t>(n));
+  out->append(header, 5);
   out->append(data, n);
-}
-
-void PutString(std::string* out, unsigned char tag, const std::string& value) {
-  PutField(out, tag, value.data(), value.size());
-}
-
-void PutU64(std::string* out, unsigned char tag, uint64_t value) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<char>(value >> (56 - 8 * i));
-  }
-  PutField(out, tag, bytes, 8);
-}
-
-void PutBool(std::string* out, unsigned char tag, bool value) {
-  char byte = value ? 1 : 0;
-  PutField(out, tag, &byte, 1);
-}
-
-void PutDouble(std::string* out, unsigned char tag, double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value), "f64 rides as u64 bits");
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutU64(out, tag, bits);
 }
 
 // Bounds-checked cursor over an untrusted buffer. Every Read* returns false
@@ -130,204 +67,197 @@ struct Reader {
   }
 };
 
-bool TakeString(const unsigned char* data, size_t n, std::string* out) {
-  out->assign(reinterpret_cast<const char*>(data), n);
-  return true;
-}
+// Appends one message's fields as TLV.
+class TlvWriter {
+ public:
+  explicit TlvWriter(std::string* out) : out_(out) {}
 
-bool TakeU64(const unsigned char* data, size_t n, uint64_t* out) {
-  if (n != 8) {
-    return false;
+  template <typename T, typename P>
+  void operator()(const char*, unsigned char tag, const T& value, P presence) {
+    if (wire::Emitted(value, presence)) {
+      Put(tag, value);
+    }
   }
-  *out = 0;
-  for (int i = 0; i < 8; ++i) {
-    *out = (*out << 8) | data[i];
-  }
-  return true;
-}
 
-bool TakeBool(const unsigned char* data, size_t n, bool* out) {
-  if (n != 1 || data[0] > 1) {
-    return false;
+ private:
+  template <typename T>
+  void Put(unsigned char tag, const T& value) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      PutField(out_, tag, value.data(), value.size());
+    } else if constexpr (std::is_same_v<T, wire::Spelled<const bool>>) {
+      Put(tag, value.value);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      char byte = value ? 1 : 0;
+      PutField(out_, tag, &byte, 1);
+    } else if constexpr (std::is_same_v<T, double>) {
+      uint64_t bits = 0;
+      static_assert(sizeof(bits) == sizeof(value), "f64 rides as u64 bits");
+      std::memcpy(&bits, &value, sizeof(bits));
+      Put(tag, bits);
+    } else if constexpr (std::is_integral_v<T>) {
+      char bytes[8];
+      for (int i = 0; i < 8; ++i) {
+        bytes[i] = static_cast<char>(static_cast<uint64_t>(value) >> (56 - 8 * i));
+      }
+      PutField(out_, tag, bytes, 8);
+    } else {
+      // The status list: one nested block per session, all under `tag`,
+      // each encoded in place with its length patched in after.
+      for (const SessionStatus& status : value) {
+        PutField(out_, tag, "", 0);  // Length patched below.
+        const size_t start = out_->size();
+        wire::VisitFields(status, *this);
+        StoreU32(&(*out_)[start - 4], static_cast<uint32_t>(out_->size() - start));
+      }
+    }
   }
-  *out = data[0] == 1;
-  return true;
-}
 
-bool TakeDouble(const unsigned char* data, size_t n, double* out) {
-  uint64_t bits = 0;
-  if (!TakeU64(data, n, &bits)) {
-    return false;
-  }
-  std::memcpy(out, &bits, sizeof(*out));
-  return true;
-}
+  std::string* out_;
+};
 
-void EncodeStatusBinary(std::string* out, const SessionStatus& status) {
-  // Field presence mirrors the YAML AppendStatus exactly — that is the
-  // contract the semantic-equivalence tests pin.
-  std::string block;
-  PutString(&block, kSessId, status.id);
-  PutString(&block, kSessName, status.name);
-  PutString(&block, kSessAlgorithm, status.algorithm);
-  PutString(&block, kSessState, status.state);
-  PutU64(&block, kSessTrials, status.trials);
-  PutU64(&block, kSessIterations, status.iterations);
-  if (status.has_best) {
-    PutDouble(&block, kSessBest, status.best);
-  }
-  PutDouble(&block, kSessSimSeconds, status.sim_seconds);
-  PutU64(&block, kSessWarmStarted, status.warm_started);
-  if (status.build_failed > 0) {
-    PutU64(&block, kSessBuildFailed, status.build_failed);
-  }
-  if (status.boot_failed > 0) {
-    PutU64(&block, kSessBootFailed, status.boot_failed);
-  }
-  if (status.run_crashed > 0) {
-    PutU64(&block, kSessRunCrashed, status.run_crashed);
-  }
-  if (status.timeouts > 0) {
-    PutU64(&block, kSessTimeouts, status.timeouts);
-  }
-  if (status.retries > 0) {
-    PutU64(&block, kSessRetries, status.retries);
-  }
-  if (status.drift_events > 0) {
-    PutU64(&block, kSessDriftEvents, status.drift_events);
-  }
-  if (status.recovered) {
-    PutBool(&block, kSessRecovered, true);
-  }
-  if (status.version > 0) {
-    PutU64(&block, kSessVersion, status.version);
-  }
-  if (status.memory_bytes > 0) {
-    PutU64(&block, kSessMemoryBytes, status.memory_bytes);
-  }
-  if (status.wave_p50_ms > 0.0) {
-    PutDouble(&block, kSessWaveP50Ms, status.wave_p50_ms);
-  }
-  if (status.wave_p99_ms > 0.0) {
-    PutDouble(&block, kSessWaveP99Ms, status.wave_p99_ms);
-  }
-  if (status.trials_per_sec > 0.0) {
-    PutDouble(&block, kSessTrialsPerSec, status.trials_per_sec);
-  }
-  if (!status.store_key.empty()) {
-    PutString(&block, kSessStoreKey, status.store_key);
-  }
-  if (!status.error.empty()) {
-    PutString(&block, kSessError, status.error);
-  }
-  PutString(out, kRespSession, block);
-}
+template <typename M>
+bool DecodeFields(const unsigned char* data, size_t n, const char* what, M* message,
+                  std::string* error);
 
-bool DecodeStatusBinary(const unsigned char* data, size_t n,
-                        SessionStatus* status, std::string* error) {
-  Reader reader{data, n};
-  uint64_t u64 = 0;
-  while (!reader.done()) {
-    unsigned char tag = 0;
+// Walks a run of [tag][len][value] fields against a field list. One visit
+// of the list consumes, in frame order, every field whose tag matches the
+// entry being visited, so a frame in list order decodes in a single pass
+// (O(1) per field); out-of-order or repeated fields take another pass, and
+// a field no entry claims is an unknown tag and is skipped (forward
+// compatibility). Once the frame is consumed, a visit flags the first
+// kRequired entry whose tag never came.
+struct TlvCursor {
+  enum class Fault { kNone, kTruncated, kMalformed, kNested, kMissing };
+
+  Reader reader;
+  std::string* error;
+  unsigned char tag = 0;
+  const unsigned char* data = nullptr;
+  size_t n = 0;
+  bool pending = false;
+  Fault fault = Fault::kNone;
+  const char* missing = nullptr;  // kMissing: the absent entry's key.
+  size_t consumed = 0;
+  std::bitset<256> seen{};
+
+  // Loads the next field, moving past the current one without decoding it.
+  void Next() {
     uint32_t len = 0;
-    const unsigned char* value = nullptr;
-    if (!reader.ReadU8(&tag) || !reader.ReadU32(&len) ||
-        !reader.Skip(len, &value)) {
-      *error = "truncated session field";
-      return false;
+    pending = !reader.done() && fault == Fault::kNone;
+    if (pending && !(reader.ReadU8(&tag) && reader.ReadU32(&len) && reader.Skip(len, &data))) {
+      Stop(Fault::kTruncated);
     }
-    bool ok = true;
-    switch (tag) {
-      case kSessId:
-        ok = TakeString(value, len, &status->id);
-        break;
-      case kSessName:
-        ok = TakeString(value, len, &status->name);
-        break;
-      case kSessAlgorithm:
-        ok = TakeString(value, len, &status->algorithm);
-        break;
-      case kSessState:
-        ok = TakeString(value, len, &status->state);
-        break;
-      case kSessTrials:
-        ok = TakeU64(value, len, &u64);
-        status->trials = static_cast<size_t>(u64);
-        break;
-      case kSessIterations:
-        ok = TakeU64(value, len, &u64);
-        status->iterations = static_cast<size_t>(u64);
-        break;
-      case kSessBest:
-        ok = TakeDouble(value, len, &status->best);
-        status->has_best = ok;
-        break;
-      case kSessSimSeconds:
-        ok = TakeDouble(value, len, &status->sim_seconds);
-        break;
-      case kSessWarmStarted:
-        ok = TakeU64(value, len, &u64);
-        status->warm_started = static_cast<size_t>(u64);
-        break;
-      case kSessBuildFailed:
-        ok = TakeU64(value, len, &u64);
-        status->build_failed = static_cast<size_t>(u64);
-        break;
-      case kSessBootFailed:
-        ok = TakeU64(value, len, &u64);
-        status->boot_failed = static_cast<size_t>(u64);
-        break;
-      case kSessRunCrashed:
-        ok = TakeU64(value, len, &u64);
-        status->run_crashed = static_cast<size_t>(u64);
-        break;
-      case kSessTimeouts:
-        ok = TakeU64(value, len, &u64);
-        status->timeouts = static_cast<size_t>(u64);
-        break;
-      case kSessRetries:
-        ok = TakeU64(value, len, &u64);
-        status->retries = static_cast<size_t>(u64);
-        break;
-      case kSessDriftEvents:
-        ok = TakeU64(value, len, &u64);
-        status->drift_events = static_cast<size_t>(u64);
-        break;
-      case kSessRecovered:
-        ok = TakeBool(value, len, &status->recovered);
-        break;
-      case kSessVersion:
-        ok = TakeU64(value, len, &u64);
-        status->version = u64;
-        break;
-      case kSessMemoryBytes:
-        ok = TakeU64(value, len, &u64);
-        status->memory_bytes = static_cast<size_t>(u64);
-        break;
-      case kSessWaveP50Ms:
-        ok = TakeDouble(value, len, &status->wave_p50_ms);
-        break;
-      case kSessWaveP99Ms:
-        ok = TakeDouble(value, len, &status->wave_p99_ms);
-        break;
-      case kSessTrialsPerSec:
-        ok = TakeDouble(value, len, &status->trials_per_sec);
-        break;
-      case kSessStoreKey:
-        ok = TakeString(value, len, &status->store_key);
-        break;
-      case kSessError:
-        ok = TakeString(value, len, &status->error);
-        break;
-      default:
-        break;  // Unknown tag: skip (forward compatibility).
+    n = len;
+  }
+
+  template <typename T, typename P>
+  void operator()(const char* key, unsigned char entry_tag, T&& value, P&& presence) {
+    while (pending && tag == entry_tag) {
+      if (!Take(value)) {
+        Stop(fault == Fault::kNone ? Fault::kMalformed : fault);
+        return;
+      }
+      if constexpr (std::is_same_v<std::decay_t<P>, bool>) {
+        presence = true;
+      }
+      seen.set(tag);
+      ++consumed;
+      Next();
     }
-    if (!ok) {
-      *error = "malformed session field";
-      return false;
+    if (std::is_same_v<std::decay_t<P>, wire::Required> && !pending &&
+        fault == Fault::kNone && !seen[entry_tag]) {
+      missing = key;
+      Stop(Fault::kMissing);
     }
   }
-  return true;
+
+  template <typename T>
+  bool Take(T& value) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      value.assign(reinterpret_cast<const char*>(data), n);
+    } else if constexpr (std::is_same_v<T, wire::Spelled<bool>>) {
+      return Take(value.value);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      if (n != 1 || data[0] > 1) {
+        return false;
+      }
+      value = data[0] == 1;
+    } else if constexpr (std::is_same_v<T, double>) {
+      uint64_t bits = 0;
+      if (!Take(bits)) {
+        return false;
+      }
+      std::memcpy(&value, &bits, sizeof(value));
+    } else if constexpr (std::is_integral_v<T>) {
+      if (n != 8) {
+        return false;
+      }
+      uint64_t bits = 0;
+      for (int i = 0; i < 8; ++i) {
+        bits = (bits << 8) | data[i];
+      }
+      value = static_cast<T>(bits);
+    } else {  // The status list: each field carries one session's block.
+      SessionStatus status;
+      if (!DecodeFields(data, n, "session", &status, error)) {
+        fault = Fault::kNested;  // *error already holds the block's reason.
+        return false;
+      }
+      value.push_back(std::move(status));
+    }
+    return true;
+  }
+
+  void Stop(Fault why) {
+    fault = why;
+    pending = false;
+  }
+};
+
+// Decodes a run of fields into `message`; `what` names it in errors
+// ("request", "response", "session").
+template <typename M>
+bool DecodeFields(const unsigned char* data, size_t n, const char* what, M* message,
+                  std::string* error) {
+  TlvCursor cursor{Reader{data, n}, error};
+  cursor.Next();
+  while (cursor.pending) {
+    size_t consumed = cursor.consumed;
+    wire::VisitFields(*message, cursor);
+    if (cursor.pending && cursor.consumed == consumed) {
+      cursor.Next();  // No entry claims this tag.
+    }
+  }
+  wire::VisitFields(*message, cursor);  // Frame consumed: check kRequired.
+  using Fault = TlvCursor::Fault;
+  if (cursor.fault == Fault::kMissing) {
+    *error = std::string(what) + " has no " + cursor.missing;
+  } else if (cursor.fault != Fault::kNone && cursor.fault != Fault::kNested) {
+    *error = std::string(cursor.fault == Fault::kTruncated ? "truncated " : "malformed ") +
+             what + " field";
+  }
+  return cursor.fault == Fault::kNone;
+}
+
+template <typename M>
+std::string EncodeMessage(unsigned char kind, const M& message) {
+  std::string out(1, static_cast<char>(kind));
+  TlvWriter writer(&out);
+  wire::VisitFields(message, writer);
+  return out;
+}
+
+// Resets `message`, then decodes `data` when its kind byte matches.
+template <typename M>
+bool DecodeMessage(const std::string& data, unsigned char kind, const char* what, M* message,
+                   std::string* error) {
+  *message = M();
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  if (data.empty() || bytes[0] != kind) {
+    *error = std::string("not a binary ") + what;
+    return false;
+  }
+  return DecodeFields(bytes + 1, data.size() - 1, what, message, error);
 }
 
 }  // namespace
@@ -345,158 +275,22 @@ bool LooksLikeCodecHello(const std::string& payload) {
 }
 
 std::string EncodeRequestBinary(const ServiceRequest& request) {
-  std::string out;
-  out.push_back(static_cast<char>(kKindRequest));
-  PutString(&out, kReqCommand, request.command);
-  if (!request.id.empty()) {
-    PutString(&out, kReqId, request.id);
-  }
-  if (!request.warm_start) {
-    PutBool(&out, kReqWarmStart, false);
-  }
-  if (request.since_version > 0) {
-    PutU64(&out, kReqSinceVersion, request.since_version);
-  }
-  return out;
+  return EncodeMessage(kKindRequest, request);
 }
 
 bool DecodeRequestBinary(const std::string& data, ServiceRequest* request,
                          std::string* error) {
-  *request = ServiceRequest();
-  Reader reader{reinterpret_cast<const unsigned char*>(data.data()),
-                data.size()};
-  unsigned char kind = 0;
-  if (!reader.ReadU8(&kind) || kind != kKindRequest) {
-    *error = "not a binary request";
-    return false;
-  }
-  while (!reader.done()) {
-    unsigned char tag = 0;
-    uint32_t len = 0;
-    const unsigned char* value = nullptr;
-    if (!reader.ReadU8(&tag) || !reader.ReadU32(&len) ||
-        !reader.Skip(len, &value)) {
-      *error = "truncated request field";
-      return false;
-    }
-    bool ok = true;
-    switch (tag) {
-      case kReqCommand:
-        ok = TakeString(value, len, &request->command);
-        break;
-      case kReqId:
-        ok = TakeString(value, len, &request->id);
-        break;
-      case kReqWarmStart:
-        ok = TakeBool(value, len, &request->warm_start);
-        break;
-      case kReqSinceVersion: {
-        uint64_t u64 = 0;
-        ok = TakeU64(value, len, &u64);
-        request->since_version = u64;
-        break;
-      }
-      default:
-        break;
-    }
-    if (!ok) {
-      *error = "malformed request field";
-      return false;
-    }
-  }
-  return ValidateRequest(*request, error);
+  return DecodeMessage(data, kKindRequest, "request", request, error) &&
+         ValidateRequest(*request, error);
 }
 
 std::string EncodeResponseBinary(const ServiceResponse& response) {
-  std::string out;
-  out.push_back(static_cast<char>(kKindResponse));
-  PutBool(&out, kRespOk, response.ok);
-  if (!response.error.empty()) {
-    PutString(&out, kRespError, response.error);
-  }
-  if (!response.id.empty()) {
-    PutString(&out, kRespId, response.id);
-  }
-  if (!response.state.empty()) {
-    PutString(&out, kRespState, response.state);
-  }
-  if (!response.note.empty()) {
-    PutString(&out, kRespNote, response.note);
-  }
-  if (response.has_payload) {
-    PutBool(&out, kRespPayload, true);
-  }
-  for (const SessionStatus& status : response.sessions) {
-    EncodeStatusBinary(&out, status);
-  }
-  return out;
+  return EncodeMessage(kKindResponse, response);
 }
 
 bool DecodeResponseBinary(const std::string& data, ServiceResponse* response,
                           std::string* error) {
-  *response = ServiceResponse();
-  Reader reader{reinterpret_cast<const unsigned char*>(data.data()),
-                data.size()};
-  unsigned char kind = 0;
-  if (!reader.ReadU8(&kind) || kind != kKindResponse) {
-    *error = "not a binary response";
-    return false;
-  }
-  bool saw_ok = false;
-  while (!reader.done()) {
-    unsigned char tag = 0;
-    uint32_t len = 0;
-    const unsigned char* value = nullptr;
-    if (!reader.ReadU8(&tag) || !reader.ReadU32(&len) ||
-        !reader.Skip(len, &value)) {
-      *error = "truncated response field";
-      return false;
-    }
-    bool ok = true;
-    switch (tag) {
-      case kRespOk:
-        ok = TakeBool(value, len, &response->ok);
-        saw_ok = ok;
-        break;
-      case kRespError:
-        ok = TakeString(value, len, &response->error);
-        break;
-      case kRespId:
-        ok = TakeString(value, len, &response->id);
-        break;
-      case kRespState:
-        ok = TakeString(value, len, &response->state);
-        break;
-      case kRespNote:
-        ok = TakeString(value, len, &response->note);
-        break;
-      case kRespPayload:
-        ok = TakeBool(value, len, &response->has_payload);
-        break;
-      case kRespSession: {
-        SessionStatus status;
-        ok = DecodeStatusBinary(value, len, &status, error);
-        if (ok) {
-          response->sessions.push_back(std::move(status));
-        } else {
-          return false;  // *error already set.
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    if (!ok) {
-      *error = "malformed response field";
-      return false;
-    }
-  }
-  if (!saw_ok) {
-    // Mirrors the YAML decoder rejecting a mapping without `status:`.
-    *error = "response has no status";
-    return false;
-  }
-  return true;
+  return DecodeMessage(data, kKindResponse, "response", response, error);
 }
 
 std::string EncodeRequestWire(const ServiceRequest& request, bool binary) {

@@ -20,9 +20,10 @@
 // and reject anything truncated, oversized, or type-malformed — the fuzz
 // suite in tests/protocol_test.cpp feeds both codecs the same garbage.
 //
-// Field optionality mirrors the YAML encoder exactly (absent YAML key ==
-// absent TLV tag), which is what lets tests pin the two codecs semantically
-// equivalent message-for-message: decode(encode_yaml(m)) ==
+// Tags, field order and presence rules are not written here: each field's
+// TLV tag sits next to its YAML key in the one field list per message
+// (src/service/wire_schema.h) that both codecs walk, so an absent YAML key
+// is an absent TLV tag by construction and decode(encode_yaml(m)) ==
 // decode(encode_binary(m)) for every message shape.
 #ifndef WAYFINDER_SRC_SERVICE_BINARY_CODEC_H_
 #define WAYFINDER_SRC_SERVICE_BINARY_CODEC_H_

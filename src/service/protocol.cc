@@ -1,6 +1,10 @@
 #include "src/service/protocol.h"
 
 #include <cstdio>
+#include <type_traits>
+#include <utility>
+
+#include "src/service/wire_schema.h"
 
 namespace wayfinder {
 
@@ -26,90 +30,189 @@ std::string FormatDouble(double value) {
   return buffer;
 }
 
-void AppendStatus(std::string* out, const SessionStatus& status, const char* indent) {
-  *out += indent;
-  *out += "- id: " + Quote(status.id) + "\n";
-  std::string field_indent = std::string(indent) + "  ";
-  *out += field_indent + "name: " + Quote(status.name) + "\n";
-  *out += field_indent + "algorithm: " + Quote(status.algorithm) + "\n";
-  *out += field_indent + "state: " + Quote(status.state) + "\n";
-  *out += field_indent + "trials: " + std::to_string(status.trials) + "\n";
-  *out += field_indent + "iterations: " + std::to_string(status.iterations) + "\n";
-  if (status.has_best) {
-    *out += field_indent + "best: " + FormatDouble(status.best) + "\n";
+// YAML text of one scalar field.
+template <typename T>
+std::string Scalar(const T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return Quote(value);
+  } else if constexpr (std::is_same_v<T, wire::Spelled<const bool>>) {
+    return value.value ? value.yes : value.no;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return FormatDouble(value);
+  } else {
+    return std::to_string(value);  // Counts.
   }
-  *out += field_indent + "sim_seconds: " + FormatDouble(status.sim_seconds) + "\n";
-  *out += field_indent + "warm_started: " + std::to_string(status.warm_started) + "\n";
-  // Failure taxonomy: only non-zero counters ride the wire, so clean
-  // sessions encode exactly as before (the binary codec mirrors this
-  // presence rule — that parity is what the codec-equivalence tests pin).
-  if (status.build_failed > 0) {
-    *out += field_indent + "build_failed: " + std::to_string(status.build_failed) + "\n";
+}
+
+// Appends one mapping's fields as YAML lines: `first` starts the first line
+// (a list item's "- "), `indent` every other one.
+class YamlWriter {
+ public:
+  YamlWriter(std::string* out, std::string first, std::string indent)
+      : out_(out), first_(std::move(first)), indent_(std::move(indent)) {}
+
+  template <typename T, typename P>
+  void operator()(const char* key, unsigned char, const T& value, P presence) {
+    if (!wire::Emitted(value, presence)) {
+      return;
+    }
+    *out_ += first_line_ ? first_ : indent_;
+    *out_ += key;
+    first_line_ = false;
+    if constexpr (std::is_same_v<T, std::vector<SessionStatus>>) {
+      *out_ += ":\n";
+      for (const SessionStatus& item : value) {
+        YamlWriter writer(out_, indent_ + "  - ", indent_ + "    ");
+        wire::VisitFields(item, writer);
+      }
+    } else {
+      *out_ += ": ";
+      *out_ += Scalar(value);
+      *out_ += '\n';
+    }
   }
-  if (status.boot_failed > 0) {
-    *out += field_indent + "boot_failed: " + std::to_string(status.boot_failed) + "\n";
+
+ private:
+  std::string* out_;
+  std::string first_;
+  std::string indent_;
+  bool first_line_ = true;
+};
+
+// Reads one mapping's fields. Every member is assigned only from a key that
+// is present and parses, so absent keys keep the message's defaults.
+class YamlReader {
+ public:
+  YamlReader(const YamlNode& node, const char* what, std::string* error)
+      : node_(node), what_(what), error_(error) {}
+
+  bool ok() const { return ok_; }
+
+  template <typename T, typename P>
+  void operator()(const char* key, unsigned char, T&& value, P&& presence) {
+    const YamlNode* field = ok_ ? node_.Get(key) : nullptr;
+    const bool present = field != nullptr && Read(key, *field, value);
+    if constexpr (std::is_same_v<std::decay_t<P>, bool>) {
+      presence = present;
+    } else if constexpr (std::is_same_v<std::decay_t<P>, wire::Required>) {
+      if (!present) {
+        Fail(std::string(what_) + " has no " + key);
+      }
+    }
   }
-  if (status.run_crashed > 0) {
-    *out += field_indent + "run_crashed: " + std::to_string(status.run_crashed) + "\n";
+
+ private:
+  // False when the field counts as absent: a word that is neither spelling.
+  template <typename T>
+  bool Read(const char* key, const YamlNode& field, T& value) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      if (field.IsScalar()) {
+        value = field.AsString();
+      }
+    } else if constexpr (std::is_same_v<T, wire::Spelled<bool>>) {
+      const std::string word = field.IsScalar() ? field.AsString() : std::string();
+      value.value = word == value.yes;
+      return value.value || word == value.no;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      value = field.AsBool().value_or(value);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      value = field.AsDouble().value_or(value);
+    } else if constexpr (std::is_integral_v<T>) {
+      value = static_cast<T>(field.AsInt().value_or(static_cast<int64_t>(value)));
+    } else {  // The status list.
+      if (!field.IsSequence()) {
+        Fail(std::string(key) + " must be a sequence");
+      }
+      for (size_t i = 0; ok_ && i < field.Size(); ++i) {
+        SessionStatus item;
+        YamlReader reader(field.At(i), "session", error_);
+        wire::VisitFields(item, reader);
+        ok_ = reader.ok();
+        value.push_back(std::move(item));
+      }
+    }
+    return true;
   }
-  if (status.timeouts > 0) {
-    *out += field_indent + "timeouts: " + std::to_string(status.timeouts) + "\n";
+
+  void Fail(std::string message) {
+    if (ok_) {
+      *error_ = std::move(message);
+      ok_ = false;
+    }
   }
-  if (status.retries > 0) {
-    *out += field_indent + "retries: " + std::to_string(status.retries) + "\n";
+
+  const YamlNode& node_;
+  const char* what_;
+  std::string* error_;
+  bool ok_ = true;
+};
+
+template <typename M>
+std::string ToYaml(const M& message) {
+  std::string out;
+  YamlWriter writer(&out, "", "");
+  wire::VisitFields(message, writer);
+  return out;
+}
+
+// Parses `text` into a default-constructed `message`; `what` names it in
+// errors ("request", "response").
+template <typename M>
+bool FromYaml(const std::string& text, const char* what, M* message, std::string* error) {
+  YamlParseResult parsed = ParseYaml(text);
+  if (!parsed.ok) {
+    *error = std::string(what) + " is not valid YAML: " + parsed.error;
+    return false;
   }
-  if (status.drift_events > 0) {
-    *out += field_indent + "drift_events: " + std::to_string(status.drift_events) + "\n";
+  if (!parsed.root.IsMapping()) {
+    *error = std::string(what) + " must be a YAML mapping";
+    return false;
   }
-  // Crash-recovery fields: same only-when-set presence rule as the taxonomy
-  // (and mirrored by the binary codec), so a never-crashed fleet's frames
-  // are byte-identical to the pre-journal protocol.
-  if (status.recovered) {
-    *out += field_indent + "recovered: true\n";
+  *message = M();
+  YamlReader reader(parsed.root, what, error);
+  wire::VisitFields(*message, reader);
+  return reader.ok();
+}
+
+struct CommandInfo {
+  const char* name;
+  bool needs_id;    // Per-session: the request must carry an `id`.
+  bool idempotent;  // Only reads state (or re-subscribes): safe to re-send.
+};
+
+// Every command the protocol knows.
+constexpr CommandInfo kCommands[] = {
+    {"submit", false, false},  {"status", false, true}, {"watch", true, true},
+    {"result", true, true},    {"pause", true, false},  {"resume", true, false},
+    {"stop", false, false},    {"compact", false, false}, {"ping", false, true},
+    {"metrics", false, true},  {"trace", true, true},
+};
+
+const CommandInfo* FindCommand(const std::string& command) {
+  for (const CommandInfo& info : kCommands) {
+    if (command == info.name) {
+      return &info;
+    }
   }
-  if (status.version > 0) {
-    *out += field_indent + "version: " + std::to_string(status.version) + "\n";
-  }
-  // Observability gauges: zero when metrics recording is off, and zero is
-  // never emitted — the presence rule that keeps metrics-off frames
-  // byte-identical to the pre-obs protocol (mirrored by the binary codec).
-  if (status.memory_bytes > 0) {
-    *out += field_indent + "memory_bytes: " + std::to_string(status.memory_bytes) + "\n";
-  }
-  if (status.wave_p50_ms > 0.0) {
-    *out += field_indent + "wave_p50_ms: " + FormatDouble(status.wave_p50_ms) + "\n";
-  }
-  if (status.wave_p99_ms > 0.0) {
-    *out += field_indent + "wave_p99_ms: " + FormatDouble(status.wave_p99_ms) + "\n";
-  }
-  if (status.trials_per_sec > 0.0) {
-    *out += field_indent + "trials_per_sec: " + FormatDouble(status.trials_per_sec) + "\n";
-  }
-  if (!status.store_key.empty()) {
-    *out += field_indent + "store_key: " + Quote(status.store_key) + "\n";
-  }
-  if (!status.error.empty()) {
-    *out += field_indent + "error: " + Quote(status.error) + "\n";
-  }
+  return nullptr;
 }
 
 }  // namespace
 
 bool KnownServiceCommand(const std::string& command) {
-  return command == "submit" || command == "status" || command == "watch" ||
-         command == "result" || command == "pause" || command == "resume" ||
-         command == "stop" || command == "compact" || command == "ping" ||
-         command == "metrics" || command == "trace";
+  return FindCommand(command) != nullptr;
 }
 
 bool CommandNeedsId(const std::string& command) {
-  return command == "result" || command == "pause" || command == "resume" ||
-         command == "watch" || command == "trace";
+  const CommandInfo* info = FindCommand(command);
+  return info != nullptr && info->needs_id;
 }
 
 bool IdempotentServiceCommand(const std::string& command) {
-  return command == "status" || command == "result" || command == "watch" ||
-         command == "ping" || command == "metrics" || command == "trace";
+  const CommandInfo* info = FindCommand(command);
+  return info != nullptr && info->idempotent;
 }
 
 bool ValidateRequest(const ServiceRequest& request, std::string* error) {
@@ -128,122 +231,17 @@ bool ValidateRequest(const ServiceRequest& request, std::string* error) {
   return true;
 }
 
-std::string EncodeRequest(const ServiceRequest& request) {
-  std::string out = "command: " + Quote(request.command) + "\n";
-  if (!request.id.empty()) {
-    out += "id: " + Quote(request.id) + "\n";
-  }
-  if (!request.warm_start) {
-    out += "warm_start: false\n";
-  }
-  if (request.since_version > 0) {
-    out += "since_version: " + std::to_string(request.since_version) + "\n";
-  }
-  return out;
-}
+std::string EncodeRequest(const ServiceRequest& request) { return ToYaml(request); }
 
 bool DecodeRequest(const std::string& text, ServiceRequest* request, std::string* error) {
-  YamlParseResult parsed = ParseYaml(text);
-  if (!parsed.ok) {
-    *error = "request is not valid YAML: " + parsed.error;
-    return false;
-  }
-  if (!parsed.root.IsMapping()) {
-    *error = "request must be a YAML mapping";
-    return false;
-  }
-  request->command = parsed.root.GetString("command");
-  request->id = parsed.root.GetString("id");
-  request->warm_start = parsed.root.GetBool("warm_start", true);
-  request->since_version = static_cast<uint64_t>(parsed.root.GetInt("since_version", 0));
-  return ValidateRequest(*request, error);
+  return FromYaml(text, "request", request, error) && ValidateRequest(*request, error);
 }
 
-std::string EncodeResponse(const ServiceResponse& response) {
-  std::string out = std::string("status: ") + (response.ok ? "ok" : "error") + "\n";
-  if (!response.error.empty()) {
-    out += "error: " + Quote(response.error) + "\n";
-  }
-  if (!response.id.empty()) {
-    out += "id: " + Quote(response.id) + "\n";
-  }
-  if (!response.state.empty()) {
-    out += "state: " + Quote(response.state) + "\n";
-  }
-  if (!response.note.empty()) {
-    out += "note: " + Quote(response.note) + "\n";
-  }
-  if (response.has_payload) {
-    out += "payload: true\n";
-  }
-  if (!response.sessions.empty()) {
-    out += "sessions:\n";
-    for (const SessionStatus& status : response.sessions) {
-      AppendStatus(&out, status, "  ");
-    }
-  }
-  return out;
-}
+std::string EncodeResponse(const ServiceResponse& response) { return ToYaml(response); }
 
 bool DecodeResponse(const std::string& text, ServiceResponse* response,
                     std::string* error) {
-  YamlParseResult parsed = ParseYaml(text);
-  if (!parsed.ok) {
-    *error = "response is not valid YAML: " + parsed.error;
-    return false;
-  }
-  if (!parsed.root.IsMapping()) {
-    *error = "response must be a YAML mapping";
-    return false;
-  }
-  std::string status = parsed.root.GetString("status");
-  if (status != "ok" && status != "error") {
-    *error = "response has no status";
-    return false;
-  }
-  response->ok = status == "ok";
-  response->error = parsed.root.GetString("error");
-  response->id = parsed.root.GetString("id");
-  response->state = parsed.root.GetString("state");
-  response->note = parsed.root.GetString("note");
-  response->has_payload = parsed.root.GetBool("payload", false);
-  response->sessions.clear();
-  if (const YamlNode* sessions = parsed.root.Get("sessions"); sessions != nullptr) {
-    if (!sessions->IsSequence()) {
-      *error = "sessions must be a sequence";
-      return false;
-    }
-    for (size_t i = 0; i < sessions->Size(); ++i) {
-      const YamlNode& node = sessions->At(i);
-      SessionStatus entry;
-      entry.id = node.GetString("id");
-      entry.name = node.GetString("name");
-      entry.algorithm = node.GetString("algorithm");
-      entry.state = node.GetString("state");
-      entry.trials = static_cast<size_t>(node.GetInt("trials", 0));
-      entry.iterations = static_cast<size_t>(node.GetInt("iterations", 0));
-      entry.has_best = node.Has("best");
-      entry.best = node.GetDouble("best", 0.0);
-      entry.sim_seconds = node.GetDouble("sim_seconds", 0.0);
-      entry.warm_started = static_cast<size_t>(node.GetInt("warm_started", 0));
-      entry.build_failed = static_cast<size_t>(node.GetInt("build_failed", 0));
-      entry.boot_failed = static_cast<size_t>(node.GetInt("boot_failed", 0));
-      entry.run_crashed = static_cast<size_t>(node.GetInt("run_crashed", 0));
-      entry.timeouts = static_cast<size_t>(node.GetInt("timeouts", 0));
-      entry.retries = static_cast<size_t>(node.GetInt("retries", 0));
-      entry.drift_events = static_cast<size_t>(node.GetInt("drift_events", 0));
-      entry.recovered = node.GetBool("recovered", false);
-      entry.version = static_cast<uint64_t>(node.GetInt("version", 0));
-      entry.memory_bytes = static_cast<size_t>(node.GetInt("memory_bytes", 0));
-      entry.wave_p50_ms = node.GetDouble("wave_p50_ms", 0.0);
-      entry.wave_p99_ms = node.GetDouble("wave_p99_ms", 0.0);
-      entry.trials_per_sec = node.GetDouble("trials_per_sec", 0.0);
-      entry.store_key = node.GetString("store_key");
-      entry.error = node.GetString("error");
-      response->sessions.push_back(std::move(entry));
-    }
-  }
-  return true;
+  return FromYaml(text, "response", response, error);
 }
 
 }  // namespace wayfinder

@@ -28,6 +28,10 @@
 // (src/obs/trace.h) verbatim — identical bytes under both codecs, which is
 // what pins their parity.
 //
+// Every field of these messages — its YAML key, its binary TLV tag and
+// when it rides the wire — is declared once, in the field lists of
+// src/service/wire_schema.h; both codecs walk those lists.
+//
 // The codec never trusts the peer: unknown commands, non-YAML payloads,
 // and missing fields decode into errors the daemon answers (or drops the
 // connection on), never crashes.
@@ -48,9 +52,8 @@ struct ServiceRequest {
   // watch: the last StatusVersion this client already saw. A reconnecting
   // watcher carries it so the daemon suppresses the baseline frame when
   // nothing changed since — re-subscribing after a dropped connection is
-  // idempotent instead of replaying a stale snapshot. 0 (the default, and
-  // the only value a fresh watch sends) keeps the baseline; the field rides
-  // the wire only when non-zero, so fresh watches encode exactly as before.
+  // idempotent instead of replaying a stale snapshot. 0 (the default, sent
+  // by every fresh watch, and absent on the wire) keeps the baseline.
   uint64_t since_version = 0;
 };
 
@@ -67,8 +70,8 @@ struct SessionStatus {
   double sim_seconds = 0.0;
   size_t warm_started = 0;  // Prior trials observed from the TrialStore.
   // Failure taxonomy + robustness counters. Emitted on the wire only when
-  // non-zero (both codecs), so clean sessions' frames are byte-identical to
-  // the pre-taxonomy protocol.
+  // non-zero, so clean sessions' frames are byte-identical to the
+  // pre-taxonomy protocol.
   size_t build_failed = 0;
   size_t boot_failed = 0;
   size_t run_crashed = 0;
@@ -85,9 +88,8 @@ struct SessionStatus {
   uint64_t version = 0;
   // Observability gauges, refreshed at wave boundaries from the manager's
   // mirror when metrics recording is on (src/obs/). All stay zero — and
-  // therefore absent on the wire under both codecs — when recording is off,
-  // so a metrics-off daemon's frames are byte-identical to the pre-obs
-  // protocol.
+  // therefore absent on the wire — when recording is off, so a metrics-off
+  // daemon's frames are byte-identical to the pre-obs protocol.
   size_t memory_bytes = 0;     // Searcher live-state footprint (MemoryBytes).
   double wave_p50_ms = 0.0;    // Wave wall-clock latency quantiles so far.
   double wave_p99_ms = 0.0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <utility>
 
 #include "src/obs/clock.h"
 #include "src/obs/trace.h"
@@ -21,6 +22,19 @@ obs::Counter& g_waves = obs::Registry::Instance().GetCounter("service.waves");
 obs::Counter& g_trials = obs::Registry::Instance().GetCounter("service.trials");
 obs::Histogram& g_wave_ns =
     obs::Registry::Instance().GetHistogram("service.wave_ns");
+
+// Checkpoint text of `history`, carrying the session's live RNG/searcher
+// state when `live_ok` and the session sits at a clean commit boundary. A
+// drained sliding window may hold in-flight proposals the history omits;
+// live state would then lie, so such text resumes replay-only.
+std::string CheckpointText(SearchSession* session, const std::vector<TrialRecord>& history,
+                           bool live_ok) {
+  if (live_ok && session != nullptr && session->AtCommitBoundary()) {
+    CheckpointLiveState live = session->ExportLiveState();
+    return CheckpointToText(history, &live);
+  }
+  return CheckpointToText(history);
+}
 
 }  // namespace
 
@@ -64,6 +78,10 @@ const char* SessionManager::StateName(State state) {
   return "?";
 }
 
+bool SessionManager::Terminal(State state) {
+  return state == State::kDone || state == State::kFailed || state == State::kStopped;
+}
+
 std::unique_ptr<SessionManager::Managed> SessionManager::BuildManaged(
     const std::string& job_text, bool warm_start, std::string* error) {
   JobParseResult parsed = ParseJobText(job_text);
@@ -85,7 +103,7 @@ std::unique_ptr<SessionManager::Managed> SessionManager::BuildManaged(
   // under the daemon is the same deterministic experiment.
   managed->bench = std::make_unique<Testbench>(managed->space.get(), parsed.spec.app,
                                                parsed.spec.ToTestbenchOptions());
-  managed->store_key = TrialStoreKey(*managed->space, parsed.spec.app);
+  managed->status.store_key = TrialStoreKey(*managed->space, parsed.spec.app);
 
   // Warm start: the store's prior trials for this (space, app) key will be
   // fed through the ordinary ObserveBatch path before the session's first
@@ -98,7 +116,7 @@ std::unique_ptr<SessionManager::Managed> SessionManager::BuildManaged(
   // raw outcomes so (e.g.) a memory job's trials cannot mistrain a
   // throughput job's model.
   if (warm_start && store_ != nullptr) {
-    TrialStore::LoadResult prior = store_->Load(managed->store_key, *managed->space);
+    TrialStore::LoadResult prior = store_->Load(managed->status.store_key, *managed->space);
     if (!prior.ok) {
       *error = "trial store: " + prior.error;
       return nullptr;
@@ -128,7 +146,7 @@ std::unique_ptr<SessionManager::Managed> SessionManager::BuildManaged(
       if (parsed.spec.objective == ObjectiveKind::kScore) {
         RefreshScoreObjectives(&prior.trials);
       }
-      managed->warm_started = prior.trials.size();
+      managed->status.warm_started = prior.trials.size();
       managed->warm_prior = std::move(prior.trials);
     }
   }
@@ -164,12 +182,7 @@ bool SessionManager::Submit(const std::string& job_text, bool warm_start, std::s
 }
 
 SessionManager::Managed* SessionManager::FindLocked(const std::string& id) {
-  for (auto& managed : sessions_) {
-    if (managed->id == id) {
-      return managed.get();
-    }
-  }
-  return nullptr;
+  return const_cast<Managed*>(std::as_const(*this).FindLocked(id));
 }
 
 const SessionManager::Managed* SessionManager::FindLocked(const std::string& id) const {
@@ -200,81 +213,40 @@ void SessionManager::PersistNewTrials(Managed* managed) {
   const std::vector<TrialRecord>& history = managed->session->history();
   if (managed->spec.objective == ObjectiveKind::kScore) {
     // Score sessions re-normalize PAST objectives after every wave
-    // (RefreshScores), so the mirror and the best are rebuilt wholesale,
-    // and store appends wait until the run ends and objectives are final
-    // (see the Drive epilogue).
+    // (RefreshScores), so the mirror is rebuilt wholesale, and store
+    // appends wait until the run ends and objectives are final (see the
+    // Drive epilogue).
     managed->committed.assign(history.begin(), history.end());
-    managed->has_best = false;
-    for (const TrialRecord& trial : history) {
-      if (trial.HasObjective() &&
-          (!managed->has_best || trial.objective > managed->best)) {
-        managed->has_best = true;
-        managed->best = trial.objective;
-      }
-    }
   } else {
     for (size_t i = managed->persisted; i < history.size(); ++i) {
       if (store_ != nullptr) {
-        store_->Append(managed->store_key, history[i]);
+        store_->Append(managed->status.store_key, history[i]);
       }
       managed->committed.push_back(history[i]);
-      if (history[i].HasObjective() &&
-          (!managed->has_best || history[i].objective > managed->best)) {
-        managed->has_best = true;
-        managed->best = history[i].objective;
-      }
     }
     if (store_ != nullptr) {
       store_->Flush();  // Library buffers to the OS at every wave boundary.
     }
   }
   managed->persisted = history.size();
-  managed->trials = history.size();
-  if (!history.empty()) {
-    managed->sim_seconds = history.back().sim_time_end;
-  }
-  // Failure taxonomy: recomputed wholesale per wave (histories are small
-  // and this keeps the score-session wholesale path and the incremental
-  // path on one code path); retry/drift counters mirror session state.
-  managed->build_failed = managed->boot_failed = 0;
-  managed->run_crashed = managed->timeouts = 0;
-  for (const TrialRecord& trial : history) {
-    switch (trial.outcome.status) {
-      case TrialOutcome::Status::kBuildFailed:
-        ++managed->build_failed;
-        break;
-      case TrialOutcome::Status::kBootFailed:
-        ++managed->boot_failed;
-        break;
-      case TrialOutcome::Status::kRunCrashed:
-        ++managed->run_crashed;
-        break;
-      case TrialOutcome::Status::kTimeout:
-        ++managed->timeouts;
-        break;
-      case TrialOutcome::Status::kOk:
-        break;
-    }
-  }
-  managed->retries = managed->session->transient_retries();
-  managed->drift_events = managed->session->drift_events();
+  RefreshMirrorLocked(managed);
   if (obs::Enabled()) {
     // Observability mirror refresh: same wave-boundary, same mutex_ hold as
     // every other status field, so the NotifyLocked version bump below
     // covers it and the daemon's StatusVersion response cache stays valid.
+    SessionStatus& status = managed->status;
     if (managed->searcher != nullptr) {
-      managed->memory_bytes = managed->searcher->MemoryBytes();
+      status.memory_bytes = managed->searcher->MemoryBytes();
     }
     if (managed->wave_latency_ns.Count() > 0) {
-      managed->wave_p50_ms = managed->wave_latency_ns.Quantile(0.5) / 1e6;
-      managed->wave_p99_ms = managed->wave_latency_ns.Quantile(0.99) / 1e6;
+      status.wave_p50_ms = managed->wave_latency_ns.Quantile(0.5) / 1e6;
+      status.wave_p99_ms = managed->wave_latency_ns.Quantile(0.99) / 1e6;
     }
     if (managed->run_start_ns > 0) {
       double elapsed_sec =
           static_cast<double>(obs::NowNs() - managed->run_start_ns) * 1e-9;
       if (elapsed_sec > 0.0) {
-        managed->trials_per_sec =
-            static_cast<double>(managed->trials) / elapsed_sec;
+        status.trials_per_sec = static_cast<double>(status.trials) / elapsed_sec;
       }
     }
     managed->session->trace().RecordInstant(obs::TraceKind::kStoreAppend,
@@ -299,14 +271,8 @@ void SessionManager::JournalWaveLocked(Managed* managed) {
       managed->committed.begin() +
           static_cast<std::ptrdiff_t>(full ? 0 : managed->journaled),
       managed->committed.end());
-  std::string payload;
-  if (managed->session != nullptr && managed->session->AtCommitBoundary()) {
-    CheckpointLiveState live = managed->session->ExportLiveState();
-    payload = CheckpointToText(slice, &live);
-  } else {
-    payload = CheckpointToText(slice);
-  }
-  journal_->AppendWave(managed->id, managed->committed.size(), full, payload);
+  journal_->AppendWave(managed->id, managed->committed.size(), full,
+                       CheckpointText(managed->session.get(), slice, true));
   if (managed->session != nullptr) {
     managed->session->trace().RecordInstant(obs::TraceKind::kJournalAppend,
                                             managed->committed.size());
@@ -316,7 +282,7 @@ void SessionManager::JournalWaveLocked(Managed* managed) {
 
 void SessionManager::JournalStateLocked(const Managed& managed) {
   if (journal_ != nullptr) {
-    journal_->AppendState(managed.id, StateName(managed.state), managed.error);
+    journal_->AppendState(managed.id, StateName(managed.state), managed.status.error);
   }
 }
 
@@ -394,37 +360,42 @@ bool SessionManager::JournalHealthy(std::string* reason) const {
   return true;
 }
 
-void SessionManager::SeedMirrorLocked(Managed* managed, std::vector<TrialRecord> history) {
-  managed->committed = std::move(history);
-  managed->persisted = managed->committed.size();
-  managed->journaled = managed->committed.size();
-  managed->trials = managed->committed.size();
-  managed->has_best = false;
-  managed->build_failed = managed->boot_failed = 0;
-  managed->run_crashed = managed->timeouts = 0;
+void SessionManager::RefreshMirrorLocked(Managed* managed) {
+  // Recomputed wholesale per wave: histories are small, and one pass keeps
+  // score sessions (whose past objectives move) and everyone else on one
+  // code path.
+  SessionStatus& status = managed->status;
+  status.trials = managed->committed.size();
+  status.has_best = false;
+  FailureTaxonomy failures;
   for (const TrialRecord& trial : managed->committed) {
-    if (trial.HasObjective() && (!managed->has_best || trial.objective > managed->best)) {
-      managed->has_best = true;
-      managed->best = trial.objective;
+    if (trial.HasObjective() && (!status.has_best || trial.objective > status.best)) {
+      status.has_best = true;
+      status.best = trial.objective;
     }
-    switch (trial.outcome.status) {
-      case TrialOutcome::Status::kBuildFailed: ++managed->build_failed; break;
-      case TrialOutcome::Status::kBootFailed: ++managed->boot_failed; break;
-      case TrialOutcome::Status::kRunCrashed: ++managed->run_crashed; break;
-      case TrialOutcome::Status::kTimeout: ++managed->timeouts; break;
-      case TrialOutcome::Status::kOk: break;
-    }
+    failures.Count(trial.outcome.status);
   }
+  status.build_failed = failures.build_failed;
+  status.boot_failed = failures.boot_failed;
+  status.run_crashed = failures.run_crashed;
+  status.timeouts = failures.timeouts;
   if (!managed->committed.empty()) {
-    managed->sim_seconds = managed->committed.back().sim_time_end;
+    status.sim_seconds = managed->committed.back().sim_time_end;
   }
   // Retry/drift counters live in the session, not the trial records; a
   // resumed session re-counts from the replay point (documented in
   // docs/robustness.md).
   if (managed->session != nullptr) {
-    managed->retries = managed->session->transient_retries();
-    managed->drift_events = managed->session->drift_events();
+    status.retries = managed->session->transient_retries();
+    status.drift_events = managed->session->drift_events();
   }
+}
+
+void SessionManager::SeedMirrorLocked(Managed* managed, std::vector<TrialRecord> history) {
+  managed->committed = std::move(history);
+  managed->persisted = managed->committed.size();
+  managed->journaled = managed->committed.size();
+  RefreshMirrorLocked(managed);
 }
 
 bool SessionManager::Recover(std::string* summary) {
@@ -449,10 +420,10 @@ bool SessionManager::Recover(std::string* summary) {
         entry->id = rec.id;
         entry->job_text = rec.job_text;
         entry->warm_requested = rec.warm_start;
-        entry->recovered = true;
+        entry->status.recovered = true;
         entry->state = State::kFailed;
         entry->failed = true;
-        entry->error = "unrecoverable: " + why;
+        entry->status.error = "unrecoverable: " + why;
         sessions_.push_back(std::move(entry));
         ++unrecoverable;
       };
@@ -474,7 +445,7 @@ bool SessionManager::Recover(std::string* summary) {
         continue;
       }
       managed->id = rec.id;
-      managed->recovered = true;
+      managed->status.recovered = true;
 
       // Reassemble the history: deltas concatenate, a `full` record restarts
       // the accumulation, and the newest exportable live state wins.
@@ -506,7 +477,7 @@ bool SessionManager::Recover(std::string* summary) {
                              ? State::kDone
                              : (rec.state == "failed" ? State::kFailed : State::kStopped);
         managed->failed = rec.state == "failed";
-        managed->error = rec.error;
+        managed->status.error = rec.error;
         // A finished session never steps again; keeping the freshly built
         // (never-stepped) machinery would make Result export a NEW
         // session's live RNG as if it were the final one. Render
@@ -569,21 +540,15 @@ void SessionManager::RewriteJournalLocked() {
     text += SessionJournal::SubmitLine(managed->id, managed->job_text,
                                        managed->warm_requested);
     if (!managed->committed.empty()) {
-      std::string payload;
-      if (managed->session != nullptr && managed->session->AtCommitBoundary()) {
-        CheckpointLiveState live = managed->session->ExportLiveState();
-        payload = CheckpointToText(managed->committed, &live);
-      } else {
-        payload = CheckpointToText(managed->committed);
-      }
-      text += SessionJournal::WaveLine(managed->id, managed->committed.size(), true,
-                                       payload);
+      text += SessionJournal::WaveLine(
+          managed->id, managed->committed.size(), true,
+          CheckpointText(managed->session.get(), managed->committed, true));
     }
     if (managed->state != State::kSubmitted) {
       text += SessionJournal::StateLine(managed->id, StateName(managed->state),
-                                        managed->error);
+                                        managed->status.error);
     } else if (managed->pause_requested) {
-      text += SessionJournal::StateLine(managed->id, "paused", managed->error);
+      text += SessionJournal::StateLine(managed->id, "paused", managed->status.error);
     }
   }
   journal_->Close();
@@ -655,7 +620,7 @@ void SessionManager::Drive(Managed* managed) {
       // A daemon must outlive any one session: the failure is recorded
       // (state `failed`, error in status) instead of unwinding the driver.
       std::lock_guard<std::mutex> lock(mutex_);
-      managed->error = std::string("session step failed: ") + e.what();
+      managed->status.error = std::string("session step failed: ") + e.what();
       managed->failed = true;
       break;
     }
@@ -679,7 +644,7 @@ void SessionManager::Drive(Managed* managed) {
   // reaches this epilogue too, so the fsync barrier still covers them).
   if (managed->spec.objective == ObjectiveKind::kScore && store_ != nullptr) {
     for (const TrialRecord& trial : managed->committed) {
-      store_->Append(managed->store_key, trial);
+      store_->Append(managed->status.store_key, trial);
     }
     store_->Flush();
   }
@@ -692,62 +657,34 @@ void SessionManager::Drive(Managed* managed) {
   state_changed_.notify_all();
 }
 
-bool SessionManager::Pause(const std::string& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Managed* managed = FindLocked(id);
-  if (managed == nullptr || managed->state == State::kDone ||
-      managed->state == State::kFailed || managed->state == State::kStopped) {
-    return false;
-  }
-  managed->pause_requested = true;
-  return true;
-}
+bool SessionManager::Pause(const std::string& id) { return RequestPause(id, true); }
 
-bool SessionManager::Resume(const std::string& id) {
+bool SessionManager::Resume(const std::string& id) { return RequestPause(id, false); }
+
+bool SessionManager::RequestPause(const std::string& id, bool pause) {
   std::lock_guard<std::mutex> lock(mutex_);
   Managed* managed = FindLocked(id);
-  // Mirror Pause: acknowledging `resume` on a finished session would tell
-  // the caller a dead session is running again.
-  if (managed == nullptr || managed->state == State::kDone ||
-      managed->state == State::kFailed || managed->state == State::kStopped) {
+  // Acknowledging either on a finished session would tell the caller a
+  // dead session is live.
+  if (managed == nullptr || Terminal(managed->state)) {
     return false;
   }
-  managed->pause_requested = false;
-  state_changed_.notify_all();
+  managed->pause_requested = pause;
+  state_changed_.notify_all();  // A paused driver waits for this.
   return true;
 }
 
 SessionStatus SessionManager::Snapshot(const Managed& managed) const {
-  SessionStatus status;
+  SessionStatus status = managed.status;
   status.id = managed.id;
   status.name = managed.spec.name;
   status.algorithm = managed.spec.algorithm;
-  status.state = StateName(managed.state);
-  status.trials = managed.trials;
   status.iterations = managed.spec.iterations;
-  status.has_best = managed.has_best;
-  status.best = managed.best;
-  status.sim_seconds = managed.sim_seconds;
-  status.warm_started = managed.warm_started;
-  status.build_failed = managed.build_failed;
-  status.boot_failed = managed.boot_failed;
-  status.run_crashed = managed.run_crashed;
-  status.timeouts = managed.timeouts;
-  status.retries = managed.retries;
-  status.drift_events = managed.drift_events;
-  status.recovered = managed.recovered;
+  status.state = StateName(managed.state);
   // Stamp the manager's status version: watchers persist the last one they
   // saw and hand it back (`since_version`) when they reconnect, so a
   // re-subscribe after a dropped connection skips the stale baseline.
   status.version = StatusVersion();
-  // Observability gauges: all zero (and absent on the wire) unless the
-  // wave-boundary mirror refresh ran with recording on.
-  status.memory_bytes = managed.memory_bytes;
-  status.wave_p50_ms = managed.wave_p50_ms;
-  status.wave_p99_ms = managed.wave_p99_ms;
-  status.trials_per_sec = managed.trials_per_sec;
-  status.store_key = managed.store_key;
-  status.error = managed.error;
   return status;
 }
 
@@ -781,17 +718,10 @@ bool SessionManager::Result(const std::string& id, std::string* checkpoint_text,
   }
   // `committed` mirrors the history at the last wave boundary, so reading
   // it here never races the driver's in-flight StepBatch. Live state is
-  // only captured when the driver is idle AND the session sits at a clean
-  // commit boundary (a drained sliding window may hold in-flight proposals
-  // the history omits — such checkpoints resume replay-only).
-  bool idle = managed->state == State::kDone || managed->state == State::kPaused ||
-              managed->state == State::kStopped || managed->state == State::kSubmitted;
-  if (idle && managed->session != nullptr && managed->session->AtCommitBoundary()) {
-    CheckpointLiveState live = managed->session->ExportLiveState();
-    *checkpoint_text = CheckpointToText(managed->committed, &live);
-  } else {
-    *checkpoint_text = CheckpointToText(managed->committed);
-  }
+  // only captured when the driver is idle (and, see CheckpointText, the
+  // session sits at a clean commit boundary).
+  bool idle = managed->state != State::kRunning && managed->state != State::kFailed;
+  *checkpoint_text = CheckpointText(managed->session.get(), managed->committed, idle);
   return true;
 }
 
@@ -821,17 +751,13 @@ bool SessionManager::WaitDone(const std::string& id, int timeout_ms) {
     if (managed == nullptr) {
       return false;
     }
-    if (managed->state == State::kDone || managed->state == State::kFailed ||
-        managed->state == State::kStopped) {
+    if (Terminal(managed->state)) {
       return true;
     }
     if (timeout_ms > 0) {
       if (state_changed_.wait_until(lock, deadline) == std::cv_status::timeout) {
         const Managed* final_check = FindLocked(id);
-        return final_check != nullptr &&
-               (final_check->state == State::kDone ||
-                final_check->state == State::kFailed ||
-                final_check->state == State::kStopped);
+        return final_check != nullptr && Terminal(final_check->state);
       }
     } else {
       state_changed_.wait(lock);
@@ -862,14 +788,7 @@ void SessionManager::Shutdown() {
         continue;
       }
       std::string path = options_.checkpoint_dir + "/" + managed->id + ".ckpt";
-      if (managed->session->AtCommitBoundary()) {
-        CheckpointLiveState live = managed->session->ExportLiveState();
-        SaveCheckpoint(managed->committed, path, &live);
-      } else {
-        // Drained sliding window with trials still in flight: the history
-        // omits their proposals, so live state would lie. Replay-only.
-        SaveCheckpoint(managed->committed, path);
-      }
+      AtomicWriteFile(path, CheckpointText(managed->session.get(), managed->committed, true));
     }
   }
   // The durability barrier: every committed trial reaches the disk before

@@ -165,23 +165,19 @@ class SessionManager {
     // whether the submitter asked for a warm start.
     std::string job_text;
     bool warm_requested = false;
-    bool recovered = false;  // Re-created by Recover() after a crash.
     size_t journaled = 0;    // Committed prefix already in a wave record.
     JobSpec spec;
     std::shared_ptr<ConfigSpace> space;
     std::unique_ptr<Testbench> bench;
     std::unique_ptr<Searcher> searcher;
     std::unique_ptr<SearchSession> session;
-    std::string store_key;
-    size_t warm_started = 0;
     // Stored trials awaiting warm-start observation; objectives already
     // re-derived under THIS job's objective definition. Consumed by the
     // driver thread before its first step (retraining a model over a long
     // history is long-pole work the accept thread must not carry).
     std::vector<TrialRecord> warm_prior;
     State state = State::kSubmitted;
-    std::string error;
-    bool failed = false;  // A StepBatch threw; error holds the what().
+    bool failed = false;  // A StepBatch threw; status.error holds the what().
     // One long-lived driver per session, joined on drain — deliberately not
     // a ThreadPool task: a driver blocks for the session's whole lifetime,
     // and parking it in the pool would starve the evaluation work the pool
@@ -194,35 +190,23 @@ class SessionManager {
     // mutex_: Result/Status read this, never the live session, so they
     // cannot race a driver mid-StepBatch.
     std::vector<TrialRecord> committed;
-    // Status snapshot fields, refreshed at wave boundaries under mutex_.
-    size_t trials = 0;
-    bool has_best = false;
-    double best = 0.0;
-    double sim_seconds = 0.0;
-    // Failure taxonomy + robustness counters, mirrored from the session at
-    // wave boundaries like the fields above.
-    size_t build_failed = 0;
-    size_t boot_failed = 0;
-    size_t run_crashed = 0;
-    size_t timeouts = 0;
-    size_t retries = 0;
-    size_t drift_events = 0;
-    // Observability mirror (SessionStatus gauges), refreshed at wave
-    // boundaries under mutex_ — and only when obs::Enabled(), so a
-    // metrics-off daemon's status frames stay byte-identical to the
-    // pre-obs protocol.
-    size_t memory_bytes = 0;
-    double wave_p50_ms = 0.0;
-    double wave_p99_ms = 0.0;
-    double trials_per_sec = 0.0;
+    // Mirrored status, refreshed at wave boundaries under mutex_ (the
+    // observability gauges only when obs::Enabled(), so a metrics-off
+    // daemon's status frames stay byte-identical to the pre-obs protocol).
+    // Snapshot copies it and stamps id, name, algorithm, iterations, state
+    // and version.
+    SessionStatus status;
     // Per-session wave wall-clock latency (ns), recorded by the driver; the
-    // p50/p99 mirror above derives from it. Self-gating like every obs
-    // instrument.
+    // status.wave_p50_ms/p99 gauges derive from it. Self-gating like every
+    // obs instrument.
     obs::Histogram wave_latency_ns;
     int64_t run_start_ns = 0;  // First wave's start stamp (trials/sec base).
   };
 
   static const char* StateName(State state);
+  static bool Terminal(State state);  // done, failed or stopped.
+  // Pause/Resume: sets the session's pause request. Caller holds no lock.
+  bool RequestPause(const std::string& id, bool pause);
   SessionStatus Snapshot(const Managed& managed) const;
   // Caller holds mutex_. Starts queued sessions while slots are free.
   void FillRunningSlots();
@@ -242,9 +226,11 @@ class SessionManager {
   void JournalWaveLocked(Managed* managed);
   // Journals the session's current lifecycle state. Caller holds mutex_.
   void JournalStateLocked(const Managed& managed);
+  // Recomputes the mirrored status counts (trials, best, sim time,
+  // taxonomy, retry/drift counters) from `committed`. Caller holds mutex_.
+  void RefreshMirrorLocked(Managed* managed);
   // Recovery helper: seats a reassembled history as the committed mirror
-  // (status fields, taxonomy, persisted/journaled counters). Caller holds
-  // mutex_.
+  // (status counts, persisted/journaled counters). Caller holds mutex_.
   void SeedMirrorLocked(Managed* managed, std::vector<TrialRecord> history);
   // Rewrites the journal as the compacted equivalent of the current fleet
   // (atomic replace). Caller holds mutex_.

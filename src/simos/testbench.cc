@@ -21,6 +21,25 @@ const char* TrialStatusName(TrialOutcome::Status status) {
   return "?";
 }
 
+void FailureTaxonomy::Count(TrialOutcome::Status status) {
+  switch (status) {
+    case TrialOutcome::Status::kOk:
+      break;
+    case TrialOutcome::Status::kBuildFailed:
+      ++build_failed;
+      break;
+    case TrialOutcome::Status::kBootFailed:
+      ++boot_failed;
+      break;
+    case TrialOutcome::Status::kRunCrashed:
+      ++run_crashed;
+      break;
+    case TrialOutcome::Status::kTimeout:
+      ++timeouts;
+      break;
+  }
+}
+
 bool TrialStatusFromName(const std::string& name, TrialOutcome::Status* status) {
   if (name == "ok") {
     *status = TrialOutcome::Status::kOk;

@@ -53,6 +53,18 @@ struct TrialOutcome {
   double TotalSeconds() const { return build_seconds + boot_seconds + run_seconds; }
 };
 
+// Per-class failure counts over a run of trials — the one tally behind the
+// taxonomy fields of SessionResult, SessionStatus and checkpoint files.
+struct FailureTaxonomy {
+  size_t build_failed = 0;
+  size_t boot_failed = 0;
+  size_t run_crashed = 0;
+  size_t timeouts = 0;
+
+  // Adds one trial's outcome (kOk counts nowhere).
+  void Count(TrialOutcome::Status status);
+};
+
 // Stable text names for TrialOutcome::Status — the shared vocabulary of the
 // checkpoint and trial-store file formats (one list, so the formats cannot
 // drift apart).
