@@ -137,7 +137,6 @@ struct TlvCursor {
   bool pending = false;
   Fault fault = Fault::kNone;
   const char* missing = nullptr;  // kMissing: the absent entry's key.
-  size_t consumed = 0;
   std::bitset<256> seen{};
 
   // Loads the next field, moving past the current one without decoding it.
@@ -161,7 +160,6 @@ struct TlvCursor {
         presence = true;
       }
       seen.set(tag);
-      ++consumed;
       Next();
     }
     if (std::is_same_v<std::decay_t<P>, wire::Required> && !pending &&
@@ -222,9 +220,9 @@ bool DecodeFields(const unsigned char* data, size_t n, const char* what, M* mess
   TlvCursor cursor{Reader{data, n}, error};
   cursor.Next();
   while (cursor.pending) {
-    size_t consumed = cursor.consumed;
+    const size_t at = cursor.reader.pos;
     wire::VisitFields(*message, cursor);
-    if (cursor.pending && cursor.consumed == consumed) {
+    if (cursor.pending && cursor.reader.pos == at) {
       cursor.Next();  // No entry claims this tag.
     }
   }

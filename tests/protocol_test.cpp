@@ -594,6 +594,40 @@ TEST(WireGolden, TwoSessionResponse) {
   }
 }
 
+// Decoders take fields in any order: unknown tags are skipped (forward
+// compatibility), a repeated tag's last value wins, and a response still
+// needs its status whatever else it carries.
+TEST(WireGolden, DecodesUnknownRepeatedAndReorderedTags) {
+  const std::string session = Tlv(99, "future") + Tlv(11, "late error") + Tlv(7, F64(2.5)) +
+                              Tlv(2, "first") + Tlv(1, "s4") + Tlv(2, "second") +
+                              Tlv(12, U64(3));
+  const std::string tlv = Byte(0x02) + Tlv(200, "") + Tlv(6, session) + Tlv(4, "push") +
+                          Tlv(1, Byte(1));
+  ServiceResponse decoded;
+  std::string error;
+  ASSERT_TRUE(DecodeResponseBinary(tlv, &decoded, &error)) << error;
+  EXPECT_TRUE(decoded.ok);
+  EXPECT_EQ(decoded.state, "push");
+  ASSERT_EQ(decoded.sessions.size(), 1u);
+  EXPECT_EQ(decoded.sessions[0].id, "s4");
+  EXPECT_EQ(decoded.sessions[0].name, "second");
+  EXPECT_TRUE(decoded.sessions[0].has_best);
+  EXPECT_EQ(decoded.sessions[0].best, 2.5);
+  EXPECT_EQ(decoded.sessions[0].build_failed, 3u);
+  EXPECT_EQ(decoded.sessions[0].error, "late error");
+  EXPECT_FALSE(DecodeResponseBinary(Byte(0x02) + Tlv(6, session), &decoded, &error));
+  EXPECT_EQ(error, "response has no status");
+  EXPECT_FALSE(DecodeResponse("sessions:\n  - id: \"s4\"\n", &decoded, &error));
+  EXPECT_EQ(error, "response has no status");
+
+  ServiceRequest request;
+  ASSERT_TRUE(DecodeRequestBinary(Byte(0x01) + Tlv(2, "s9") + Tlv(77, "x") + Tlv(1, "pause"),
+                                  &request, &error))
+      << error;
+  EXPECT_EQ(request.command, "pause");
+  EXPECT_EQ(request.id, "s9");
+}
+
 // Deterministic fuzz: truncations at EVERY byte length of valid messages,
 // plus pseudo-random garbage. The decoders may reject, never crash or read
 // out of bounds (ASan-pinned in CI).
